@@ -66,6 +66,8 @@ def parse_angle(text: str, mode: str) -> Angle:
         value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse angle {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"angle {text!r} is not finite")
     radians = math.radians(value) if mode == "degrees" else value
     snapped = Fraction(radians / math.pi).limit_denominator(MAX_SNAP_DENOMINATOR)
     if abs(float(snapped) * math.pi - radians) <= FLOAT_TOL:
@@ -181,7 +183,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     report.add("equilateral", str(equilateral).lower())
     report.add("isosceles_vertices", ",".join(sorted(iso)) or "-")
     report.add("right_vertices", ",".join(sorted(right)) or "-")
-    report.add("scalene", str(not iso and not degenerate).lower())
+    report.add("scalene", str(not iso).lower())
     report.add("obtuse", str(not degenerate and biggest > math.pi / 2 + FLOAT_TOL).lower())
     report.add("acute", str(not degenerate and biggest < math.pi / 2 - FLOAT_TOL).lower())
     report.add("loci", ",".join(loci) or "-")
@@ -273,7 +275,13 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ParseError("--samples must not be negative")
+
+
 def cmd_measure(args) -> int:
+    _check_samples(args.samples)
     rep = measure_mod.analytic_measures()
     report = Report()
     for key in (
@@ -324,6 +332,12 @@ def cmd_path(args) -> int:
         raise ParseError("start must be two torus coordinates or three angles")
 
     velocity = (args.velocity[0], args.velocity[1])
+    if not all(math.isfinite(v) for v in velocity):
+        raise ParseError("velocity must be finite")
+    if args.steps < 1:
+        raise ParseError("--steps must be at least 1")
+    if not (math.isfinite(args.step_size) and args.step_size > 0.0):
+        raise ParseError("--step-size must be positive and finite")
     events = trace_path(start, velocity, args.steps, args.step_size)
 
     report = Report()
@@ -359,6 +373,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _check_samples(args.samples)
     samples = None
     if args.samples > 0:
         samples = measure_mod.sample_uniform(args.seed, args.samples)

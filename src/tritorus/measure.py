@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .torus import CURVE_LOCI, LocusId
+from .torus import LOCUS_EQUATIONS, LocusId
 from .angles import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,34 +117,23 @@ def analytic_measures() -> MeasureReport:
     )
 
 
-# Primitive direction vectors of the one-dimensional loci in the
-# relative-argument plane; each closes up after parameter length 2*pi.
-_LOCUS_DIRECTIONS: dict[LocusId, tuple[int, int]] = {
-    LocusId.D_A: (1, 0),
-    LocusId.D_B: (0, 1),
-    LocusId.D_C: (1, 1),
-    LocusId.I_A: (1, 2),
-    LocusId.I_B: (2, 1),
-    LocusId.I_C: (1, -1),
-    LocusId.R_A: (1, 0),
-    LocusId.R_B: (0, 1),
-    LocusId.R_C: (1, 1),
-    LocusId.IPERP_A: (2, -1),
-    LocusId.IPERP_B: (1, -2),
-    LocusId.ANTI_RIGHT: (1, -1),
-}
-
-
 def locus_length(locus: LocusId) -> float:
-    """Arc length of a one-dimensional locus in the angle-plane metric."""
-    if locus not in _LOCUS_DIRECTIONS:
+    """Arc length of a one-dimensional locus in the angle-plane metric.
+
+    The locus a*xi1 + b*xi2 = c runs along the primitive direction (-b, a)
+    and closes up after parameter length 2*pi.
+    """
+    if locus not in LOCUS_EQUATIONS:
         raise UnsupportedLocus(f"{locus} is not one-dimensional")
-    a, b = _LOCUS_DIRECTIONS[locus]
-    return TWO_PI * math.sqrt((a * a + b * b - a * b) / 2.0)
+    a, b, _ = LOCUS_EQUATIONS[locus]
+    dx, dy = -b, a
+    return TWO_PI * math.sqrt((dx * dx + dy * dy - dx * dy) / 2.0)
 
 
 def sample_uniform(seed: int, n: int) -> np.ndarray:
     """n i.i.d. uniform points on [0, 2*pi)^2, deterministic given seed."""
+    import numpy as np  # only sampling needs numpy; it costs most of the import time
+
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
@@ -151,6 +142,8 @@ def sample_uniform(seed: int, n: int) -> np.ndarray:
 
 def _abs_angles(xi: np.ndarray) -> np.ndarray:
     """|interior angles| of the preimage triangle of each float sample."""
+    import numpy as np
+
     xi1, xi2 = xi[:, 0], xi[:, 1]
     pos = xi2 > xi1
     a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
@@ -161,6 +154,8 @@ def _abs_angles(xi: np.ndarray) -> np.ndarray:
 
 def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
     """Boolean membership of float samples; boundary hits count as neither."""
+    import numpy as np
+
     xi1, xi2 = xi[:, 0], xi[:, 1]
     diff = xi2 - xi1
     if region is Region.POSITIVE_ORIENTATION:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .angles import DomainError
-from .torus import LocusId
+from .torus import LOCUS_EQUATIONS, LocusId
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,18 +45,7 @@ class PathEvent:
 # Residue of each locus: coefficients (a, b) and offset c, the locus being
 # a*xi1 + b*xi2 = c (mod 2*pi).
 LOCUS_FORMS: dict[LocusId, tuple[int, int, float]] = {
-    LocusId.D_A: (0, 1, 0.0),
-    LocusId.D_B: (1, 0, 0.0),
-    LocusId.D_C: (1, -1, 0.0),
-    LocusId.I_A: (2, -1, 0.0),
-    LocusId.I_B: (1, -2, 0.0),
-    LocusId.I_C: (1, 1, 0.0),
-    LocusId.R_A: (0, 1, math.pi),
-    LocusId.R_B: (1, 0, math.pi),
-    LocusId.R_C: (-1, 1, math.pi),
-    LocusId.IPERP_A: (1, 2, 0.0),
-    LocusId.IPERP_B: (2, 1, 0.0),
-    LocusId.ANTI_RIGHT: (1, 1, math.pi),
+    locus: (a, b, h * math.pi) for locus, (a, b, h) in LOCUS_EQUATIONS.items()
 }
 
 _DEGENERATE_LOCI = (LocusId.D_A, LocusId.D_B, LocusId.D_C)
@@ -71,11 +60,15 @@ def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
 
 
 def orientation_sign(xi: tuple[float, float]) -> int:
-    """+1 above the degenerate diagonal (positive orientation), -1 below, 0 on it."""
-    d = _wrap_pm_pi(xi[1] - xi[0])
+    """+1 above the degenerate diagonal (positive orientation), -1 below, 0 on it.
+
+    Above and below are taken in canonical coordinates [0, 2*pi)^2, where
+    positive orientation is xi2 > xi1, as in ``torus.orientation``.
+    """
+    x, y = wrap_position(xi)
+    d = y - x
     if abs(d) <= REFINE_TOL:
         return 0
-    # d in (-pi, pi]: positive residue means xi2 > xi1 in canonical coords.
     return 1 if d > 0 else -1
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .measure import Region, region_mask
 from .torus import LocusId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 

@@ -127,28 +127,47 @@ def element_of_word(w: D6Word) -> GroupElement:
     return g
 
 
+_MATRICES = tuple(g.matrix() for g in _ELEMENTS)
+
+
+def _image(m, k1: int, k2: int, n: int) -> tuple[int, int]:
+    (m00, m01), (m10, m11) = m
+    return ((m00 * k1 + m01 * k2) % n, (m10 * k1 + m11 * k2) % n)
+
+
+def lattice_orbit(k1: int, k2: int, n: int) -> set[tuple[int, int]]:
+    """Orbit of the torsion point 2*pi*(k1, k2)/n, as integer pairs mod n."""
+    return {_image(m, k1, k2, n) for m in _MATRICES}
+
+
 def act(g: GroupElement, p: TorusPoint) -> TorusPoint:
     """Apply the integer matrix of ``g`` to the relative arguments mod 2*pi."""
-    (m00, m01), (m10, m11) = g.matrix()
-    return TorusPoint(p.xi1 * m00 + p.xi2 * m01, p.xi1 * m10 + p.xi2 * m11)
+    k1, k2, n = p.lattice()
+    return TorusPoint.from_lattice(*_image(g.matrix(), k1, k2, n), n)
 
 
 def orbit(p: TorusPoint) -> frozenset[TorusPoint]:
-    return frozenset(act(g, p) for g in _ELEMENTS)
+    k1, k2, n = p.lattice()
+    return frozenset(TorusPoint.from_lattice(*q, n) for q in lattice_orbit(k1, k2, n))
 
 
 def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
-    return tuple(g for g in _ELEMENTS if act(g, p) == p)
+    k1, k2, n = p.lattice()
+    return tuple(g for g in _ELEMENTS if _image(g.matrix(), k1, k2, n) == (k1, k2))
 
 
 def multiplicity(p: TorusPoint) -> int:
     """Order of the stabilizer; equals 12 / orbit size."""
-    return 12 // len(orbit(p))
+    return 12 // len(lattice_orbit(*p.lattice()))
 
 
 def canonical_rep(p: TorusPoint) -> TorusPoint:
-    """Lexicographically least orbit element: a deterministic absolute-class key."""
-    return min(orbit(p), key=TorusPoint.key)
+    """Lexicographically least orbit element: a deterministic absolute-class key.
+
+    At a fixed n the order of the pairs (k1, k2) is that of ``TorusPoint.key``.
+    """
+    k1, k2, n = p.lattice()
+    return TorusPoint.from_lattice(*min(lattice_orbit(k1, k2, n)), n)
 
 
 def similar(p: TorusPoint, q: TorusPoint) -> bool:

@@ -47,21 +47,22 @@ class LocusId(Enum):
     EQUILATERAL3 = "Equilateral3"
 
 
-#: One-dimensional loci (everything except the order-3 equilateral subgroup).
-CURVE_LOCI = tuple(l for l in LocusId if l is not LocusId.EQUILATERAL3)
-
-#: Loci that are subgroups (closed under the group law).
-SUBGROUP_LOCI = (
-    LocusId.D_A,
-    LocusId.D_B,
-    LocusId.D_C,
-    LocusId.I_A,
-    LocusId.I_B,
-    LocusId.I_C,
-    LocusId.IPERP_A,
-    LocusId.IPERP_B,
-    LocusId.EQUILATERAL3,
-)
+#: Each one-dimensional locus is the congruence a*xi1 + b*xi2 = h*pi
+#: (mod 2*pi), stored as (a, b, h).  Order follows ``LocusId``.
+LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
+    LocusId.D_A: (0, 1, 0),
+    LocusId.D_B: (1, 0, 0),
+    LocusId.D_C: (1, -1, 0),
+    LocusId.I_A: (2, -1, 0),
+    LocusId.I_B: (1, -2, 0),
+    LocusId.I_C: (1, 1, 0),
+    LocusId.R_A: (0, 1, 1),
+    LocusId.R_B: (1, 0, 1),
+    LocusId.R_C: (-1, 1, 1),
+    LocusId.IPERP_A: (1, 2, 0),
+    LocusId.IPERP_B: (2, 1, 0),
+    LocusId.ANTI_RIGHT: (1, 1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,19 @@ class TorusPoint:
 
     def is_degenerate(self) -> bool:
         return self.xi1.is_zero() or self.xi2.is_zero() or self.xi1 == self.xi2
+
+    @classmethod
+    def from_lattice(cls, k1: int, k2: int, n: int) -> "TorusPoint":
+        """The torsion point (2*pi*k1/n, 2*pi*k2/n)."""
+        return cls(PiRational(2 * k1, n), PiRational(2 * k2, n))
+
+    def lattice(self) -> tuple[int, int, int]:
+        """(k1, k2, n) with xi = 2*pi*k/n, n the element order and 0 <= k < n."""
+        p1, q1 = self.xi1.numerator, self.xi1.denominator
+        p2, q2 = self.xi2.numerator, self.xi2.denominator
+        # xi/(2*pi) = p/(2q) in lowest terms has denominator q for even p, 2q for odd p.
+        n = lcm(q1 if p1 % 2 == 0 else 2 * q1, q2 if p2 % 2 == 0 else 2 * q2)
+        return p1 * n // (2 * q1), p2 * n // (2 * q2), n
 
     def key(self) -> tuple:
         """Deterministic sort key (lexicographic on canonical residues)."""
@@ -103,16 +117,8 @@ def power(p: TorusPoint, n: int) -> TorusPoint:
 
 
 def element_order(p: TorusPoint) -> int:
-    """Least n >= 1 with n*p = identity.
-
-    Always defined for rational coordinates: n*xi = 0 mod 2*pi iff
-    n * coeff(xi)/2 is an integer.
-    """
-    orders = []
-    for xi in (p.xi1, p.xi2):
-        half = xi.coeff / 2
-        orders.append(half.denominator)
-    return lcm(*orders)
+    """Least n >= 1 with n*p = identity."""
+    return p.lattice()[2]
 
 
 def project_relative(theta1: PiRational, theta2: PiRational, theta3: PiRational) -> TorusPoint:
@@ -171,49 +177,17 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
     return (make_triple(-(xi2 / 2), xi1 / 2 - PI, (xi2 - xi1) / 2),)
 
 
-def _eq_mod(a: PiRational, b: PiRational) -> bool:
-    return (a - b).coeff % 2 == 0
-
-
-_EQUILATERAL_POINTS = frozenset(
-    (
-        TorusPoint(ZERO, ZERO),
-        TorusPoint(PiRational(2, 3), PiRational(4, 3)),
-        TorusPoint(PiRational(4, 3), PiRational(2, 3)),
-    )
-)
+def _on_locus(k1: int, k2: int, n: int, locus: LocusId) -> bool:
+    if locus is LocusId.EQUILATERAL3:  # {(0, 0), (2*pi/3, 4*pi/3), (4*pi/3, 2*pi/3)}
+        return (3 * k1) % n == (3 * k2) % n == (k1 + k2) % n == 0
+    a, b, h = LOCUS_EQUATIONS[locus]
+    # 2*pi*(a*k1 + b*k2)/n = h*pi (mod 2*pi), doubled to stay integral for odd n
+    return (2 * (a * k1 + b * k2) - h * n) % (2 * n) == 0
 
 
 def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     """Exact membership in a distinguished subgroup or coset."""
-    x, y = p.xi1, p.xi2
-    if locus is LocusId.D_A:
-        return y.is_zero()
-    if locus is LocusId.D_B:
-        return x.is_zero()
-    if locus is LocusId.D_C:
-        return x == y
-    if locus is LocusId.I_A:
-        return _eq_mod(y, x * 2)
-    if locus is LocusId.I_B:
-        return _eq_mod(x, y * 2)
-    if locus is LocusId.I_C:
-        return _eq_mod(x + y, ZERO)
-    if locus is LocusId.R_A:
-        return y == PI
-    if locus is LocusId.R_B:
-        return x == PI
-    if locus is LocusId.R_C:
-        return _eq_mod(y, x + PI)
-    if locus is LocusId.IPERP_A:
-        return _eq_mod(x, y * -2)
-    if locus is LocusId.IPERP_B:
-        return _eq_mod(y, x * -2)
-    if locus is LocusId.ANTI_RIGHT:
-        return _eq_mod(y, PI - x)
-    if locus is LocusId.EQUILATERAL3:
-        return p in _EQUILATERAL_POINTS
-    raise ValueError(f"unknown locus {locus}")
+    return _on_locus(*p.lattice(), locus)
 
 
 @dataclass(frozen=True)
@@ -234,14 +208,16 @@ def classify(p: TorusPoint) -> Classification:
     """Full type report; the flags are those of the (shared) preimage class."""
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
+    k1, k2, n = p.lattice()
+    orb = symmetry.lattice_orbit(k1, k2, n)
     preims = rho_preimages(p)
     return Classification(
         point=p,
         orientation=orientation(p),
         degenerate=p.is_degenerate(),
         flags=taxonomy(preims[0]),
-        loci=tuple(l for l in LocusId if in_locus(p, l)),
-        multiplicity=symmetry.multiplicity(p),
+        loci=tuple(l for l in LocusId if _on_locus(k1, k2, n, l)),
+        multiplicity=12 // len(orb),
         preimages=preims,
-        canonical_rep=symmetry.canonical_rep(p),
+        canonical_rep=TorusPoint.from_lattice(*min(orb), n),
     )

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tritorus
 from tritorus import cli
 
 
@@ -96,6 +101,23 @@ class TestClassify:
         e, f = lines_to_dict(exact_out), lines_to_dict(float_out)
         for key in ("right_vertices", "isosceles_vertices", "multiplicity"):
             assert e[key] == f[key]
+
+    def test_float_degenerate_agrees_with_exact(self, capsys):
+        # 211/601 does not snap, so the degrees input takes the float path
+        _, exact_out, _ = run(capsys, "classify", "0", "211/601", "390/601")
+        code, float_out, _ = run(
+            capsys, "classify", "--format", "degrees",
+            "0", repr(180 * 211 / 601), repr(180 * 390 / 601),
+        )
+        assert code == 0
+        e, f = lines_to_dict(exact_out), lines_to_dict(float_out)
+        assert f["mode"] == "float"
+        assert f["scalene"] == "true"
+        for key in (
+            "orientation", "degenerate", "equilateral", "isosceles_vertices",
+            "right_vertices", "scalene", "obtuse", "acute", "loci", "multiplicity",
+        ):
+            assert e[key] == f[key], key
 
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", "1/3", "1/3", "1/3")
@@ -207,6 +229,23 @@ class TestPath:
         residue = float(first.split("residue=")[1].split()[0])
         assert residue <= 1e-9
 
+    def test_flip_at_wrap_line_changes_orientation(self, capsys):
+        # the D_B crossing happens where xi1 wraps from 2*pi back to 0
+        code, out, _ = run(capsys, "path", "1/3", "1/2", "--velocity", "3", "1", "--steps", "40")
+        assert code == 0
+        flips = [v for v in lines_to_dict(out).values() if "kind=orientation_flip" in v]
+        assert any("locus=D_B" in f for f in flips)
+        for f in flips:
+            before = f.split("orientation_before=")[1].split()[0]
+            after = f.split("orientation_after=")[1].split()[0]
+            assert {before, after} == {"positive", "negative"}
+
+    def test_start_orientation_far_from_diagonal(self, capsys):
+        # (5/4*pi, 1/6*pi) lies below the diagonal, more than pi from it
+        code, out, _ = run(capsys, "path", "5/4", "1/6", "--velocity", "-1", "2")
+        assert code == 0
+        assert lines_to_dict(out)["orientation.start"] == "negative"
+
     def test_three_angle_start(self, capsys):
         code, out, _ = run(
             capsys, "path", "1/3", "1/3", "1/3",
@@ -224,6 +263,50 @@ class TestPath:
     def test_wrong_start_arity_exits_1(self, capsys):
         code, _, _ = run(capsys, "path", "0", "--velocity", "1", "0")
         assert code == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--format", "degrees", "nan", "90", "90"],
+            ["classify", "--format", "radians", "inf", "1", "1"],
+            ["classify", "--format", "degrees", "--", "-inf", "90", "90"],
+            ["path", "1/3", "1/2", "--velocity", "nan", "1", "--steps", "2"],
+            ["path", "1/3", "1/2", "--velocity", "1", "inf", "--steps", "2"],
+            ["path", "1/3", "1/2", "--velocity", "1", "0", "--steps", "0"],
+            ["path", "1/3", "1/2", "--velocity", "1", "0", "--steps", "-3"],
+            ["measure", "--samples", "-5"],
+            ["plot", "--out", "unused.svg", "--samples", "-5"],
+        ],
+        ids=[
+            "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
+            "steps-zero", "steps-negative", "measure-samples-negative", "plot-samples-negative",
+        ],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
+def test_exact_commands_do_not_import_numpy():
+    script = (
+        "import sys, tritorus\n"
+        "from tritorus import cli\n"
+        "cli.main(['classify', '1/2', '1/4', '1/4'])\n"
+        "cli.main(['measure'])\n"
+        "sys.stderr.write(str('numpy' in sys.modules))\n"
+    )
+    src = str(Path(tritorus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False"
 
 
 class TestPlot:

@@ -39,6 +39,21 @@ points = st.builds(
 )
 
 
+# Coordinates p/q*pi with numerators of either sign and independent
+# denominators, mostly coprime, so the lattice level n mixes many factors.
+mixed_points = st.builds(
+    lambda p1, q1, p2, q2: TorusPoint(pr(p1, q1), pr(p2, q2)),
+    st.integers(-400, 400), st.integers(1, 199), st.integers(-400, 400), st.integers(1, 199),
+)
+
+
+def fraction_image(g, p):
+    """g's matrix applied to the coefficients of pi, reduced mod 2."""
+    (m00, m01), (m10, m11) = g.matrix()
+    c1, c2 = p.xi1.coeff, p.xi2.coeff
+    return ((m00 * c1 + m01 * c2) % 2, (m10 * c1 + m11 * c2) % 2)
+
+
 def _matmul(a, b):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
@@ -199,6 +214,29 @@ class TestCanonicalRep:
         rep = canonical_rep(p)
         assert canonical_rep(rep) == rep
         assert all(canonical_rep(q) == rep for q in orbit(p))
+
+
+class TestLatticeAgainstFractions:
+    @given(mixed_points)
+    def test_act_is_the_matrix_image(self, p):
+        for g in all_elements():
+            assert act(g, p).key() == fraction_image(g, p)
+
+    @given(mixed_points)
+    def test_orbit_is_the_twelve_images(self, p):
+        assert {q.key() for q in orbit(p)} == {fraction_image(g, p) for g in all_elements()}
+
+    @given(mixed_points)
+    def test_multiplicity_stabilizer_orbit_size(self, p):
+        fixing = tuple(g for g in all_elements() if fraction_image(g, p) == p.key())
+        assert stabilizer(p) == fixing
+        assert multiplicity(p) == len(fixing) == 12 // len(orbit(p))
+
+    @given(mixed_points)
+    def test_canonical_rep_is_least_image(self, p):
+        rep = canonical_rep(p)
+        assert rep == min(orbit(p), key=TorusPoint.key)
+        assert rep.key() == min(fraction_image(g, p) for g in all_elements())
 
 
 class TestSimilar:

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tritorus.angles import HALF_PI, PI, ZERO, PiRational, Sheet, make_triple, taxonomy
 from tritorus.torus import (
+    LOCUS_EQUATIONS,
     LocusId,
     OrientationSign,
     TorusPoint,
@@ -47,6 +49,39 @@ points = st.builds(
     st.fractions(max_denominator=60).map(PiRational.from_fraction),
     st.fractions(max_denominator=60).map(PiRational.from_fraction),
 )
+
+
+# Coordinates p/q*pi with numerators of either sign and independent
+# denominators, mostly coprime, so the lattice level n mixes many factors.
+mixed_points = st.builds(
+    lambda p1, q1, p2, q2: TorusPoint(pr(p1, q1), pr(p2, q2)),
+    st.integers(-400, 400), st.integers(1, 199), st.integers(-400, 400), st.integers(1, 199),
+)
+
+
+@st.composite
+def locus_points(draw):
+    """Points on a random locus: a*c1 + b*c2 = h + 2j, solved for one coefficient."""
+    a, b, h = draw(st.sampled_from(sorted(LOCUS_EQUATIONS.values())))
+    free = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 199)))
+    j = draw(st.integers(-3, 3))
+    if b:
+        c1, c2 = free, Fraction(h + 2 * j - a * free, b)
+    else:
+        c1, c2 = Fraction(h + 2 * j, a), free
+    return TorusPoint(PiRational.from_fraction(c1), PiRational.from_fraction(c2))
+
+
+EQUILATERAL_COEFFS = {(0, 0), (Fraction(2, 3), Fraction(4, 3)), (Fraction(4, 3), Fraction(2, 3))}
+
+
+def fraction_loci(p):
+    """Loci of p by the congruences on the coefficients of pi."""
+    c1, c2 = p.key()
+    loci = {l for l, (a, b, h) in LOCUS_EQUATIONS.items() if (a * c1 + b * c2 - h) % 2 == 0}
+    if p.key() in EQUILATERAL_COEFFS:
+        loci.add(LocusId.EQUILATERAL3)
+    return loci
 
 
 class TestRho:
@@ -173,6 +208,32 @@ class TestElementOrder:
         for m in range(1, n):
             if n % m == 0:
                 assert power(p, m) != identity()
+
+
+class TestLattice:
+    @given(mixed_points)
+    def test_lattice_reconstructs_point(self, p):
+        k1, k2, n = p.lattice()
+        assert 0 <= k1 < n and 0 <= k2 < n
+        assert (Fraction(2 * k1, n), Fraction(2 * k2, n)) == p.key()
+        assert TorusPoint.from_lattice(k1, k2, n) == p
+
+    @given(mixed_points)
+    def test_element_order_is_lattice_level(self, p):
+        c1, c2 = p.key()
+        assert element_order(p) == p.lattice()[2]
+        assert element_order(p) == lcm((c1 / 2).denominator, (c2 / 2).denominator)
+
+    @given(st.one_of(mixed_points, locus_points()))
+    def test_in_locus_is_the_congruence(self, p):
+        assert {l for l in LocusId if in_locus(p, l)} == fraction_loci(p)
+
+    def test_in_locus_on_torsion_grid(self):
+        n = 48
+        for k1 in range(n):
+            for k2 in range(n):
+                p = TorusPoint.from_lattice(k1, k2, n)
+                assert set(classify(p).loci) == fraction_loci(p)
 
 
 class TestLoci:
