@@ -154,9 +154,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     biggest = max(absang)
 
     loci = [
-        locus.value
-        for locus, (a, b, c) in pathtrace.LOCUS_FORMS.items()
-        if abs(_wrap_pm_pi(a * xi[0] + b * xi[1] - c)) <= FLOAT_TOL
+        locus.value for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= FLOAT_TOL
     ]
     if any(_circle_eq(xi[0], ex) and _circle_eq(xi[1], ey) for ex, ey in
            ((0.0, 0.0), (TWO_PI / 3, 2 * TWO_PI / 3), (2 * TWO_PI / 3, TWO_PI / 3))):
@@ -301,13 +299,14 @@ def cmd_measure(args) -> int:
         report.add("mc.algorithm", measure_mod.RNG_ALGORITHM)
         report.add("mc.seed", args.seed)
         report.add("mc.samples", args.samples)
+        xi = measure_mod.sample_uniform(args.seed, args.samples)
         for region in (
             measure_mod.Region.OBTUSE,
             measure_mod.Region.ACUTE,
             measure_mod.Region.POSITIVE_ORIENTATION,
             measure_mod.Region.NEGATIVE_ORIENTATION,
         ):
-            est = measure_mod.estimate_probability(region, args.samples, args.seed)
+            est = measure_mod.estimate_from_samples(xi, region, args.seed)
             report.add(f"mc.{region.value}.probability", _fmt_float(est.probability))
             report.add(f"mc.{region.value}.stderr", _fmt_float(est.standard_error))
     report.emit(args.json)
@@ -344,8 +343,6 @@ def cmd_path(args) -> int:
     report.add("start", f"({_fmt_float(start[0])}, {_fmt_float(start[1])})")
     report.add("velocity", f"({_fmt_float(velocity[0])}, {_fmt_float(velocity[1])})")
     report.add("orientation.start", _orientation_name(pathtrace.orientation_sign(start)))
-    vnorm = math.hypot(*velocity)
-    eps = 1e-6 / vnorm
     for i, ev in enumerate(events, start=1):
         fields = [f"kind={ev.kind.value}", f"step={ev.step_index}"]
         fields.append(
@@ -353,10 +350,11 @@ def cmd_path(args) -> int:
         )
         if ev.locus is not None:
             fields.append(f"locus={ev.locus.value}")
-            a, b, c = pathtrace.LOCUS_FORMS[ev.locus]
-            res = _wrap_pm_pi(a * ev.refined_position[0] + b * ev.refined_position[1] - c)
-            fields.append(f"residue={_fmt_float(abs(res))}")
+            fields.append(f"residue={_fmt_float(pathtrace.residue(ev.locus, ev.refined_position))}")
         if ev.kind is EventKind.ORIENTATION_FLIP:
+            # probe where the crossed locus's residue is 1e-6, whatever the angle of the path
+            a, b, _ = pathtrace.LOCUS_FORMS[ev.locus]
+            eps = 1e-6 / abs(a * velocity[0] + b * velocity[1])
             before = (
                 ev.refined_position[0] - eps * velocity[0],
                 ev.refined_position[1] - eps * velocity[1],

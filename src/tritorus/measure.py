@@ -177,7 +177,12 @@ def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
 
 def estimate_probability(region: Region, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the uniform-measure fraction of a region."""
-    xi = sample_uniform(seed, n)
+    return estimate_from_samples(sample_uniform(seed, n), region, seed)
+
+
+def estimate_from_samples(xi: np.ndarray, region: Region, seed: int) -> McEstimate:
+    """The estimate of ``estimate_probability`` on samples already drawn with ``seed``."""
+    n = len(xi)
     p_hat = float(region_mask(xi, region).mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return McEstimate(probability=p_hat, standard_error=stderr, samples=n, seed=seed)

@@ -1,9 +1,8 @@
 """Straight-line path tracing on the torus with locus-crossing detection.
 
-A path xi(t) = start + t*velocity is stepped with a fixed step size; at each
-step the residue of every one-dimensional locus (a linear form wrapped to
-(-pi, pi]) is checked for a sign change, and each crossing is refined by
-bisection.  Crossings of the degenerate loci D_A/D_B/D_C flip orientation.
+Each locus is a line a*xi1 + b*xi2 = c (mod 2*pi), which the path
+xi(t) = start + t*velocity crosses at t = (c + 2*pi*k - a*x0 - b*y0) / (a*vx + b*vy)
+for each integer k.  Crossings of the degenerate loci D_A/D_B/D_C flip orientation.
 """
 
 from __future__ import annotations
@@ -18,8 +17,12 @@ from .torus import LOCUS_EQUATIONS, LocusId
 
 TWO_PI = 2.0 * math.pi
 
-#: Residue magnitude below which a refined crossing is accepted.
+#: Residue magnitude below which a crossing is accepted.
 REFINE_TOL = 1e-9
+
+#: Most crossings of one locus a path may make, one per 2*pi of |a*vx + b*vy|*t:
+#: rounding a position at that phase costs about 1e-10, a tenth of REFINE_TOL.
+MAX_CROSSINGS = 2**16
 
 
 class ZeroVelocity(DomainError):
@@ -59,17 +62,21 @@ def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
     return (xi[0] % TWO_PI, xi[1] % TWO_PI)
 
 
-def orientation_sign(xi: tuple[float, float]) -> int:
-    """+1 above the degenerate diagonal (positive orientation), -1 below, 0 on it.
+def residue(locus: LocusId, xi: tuple[float, float]) -> float:
+    """Distance of a*xi1 + b*xi2 from c, taken mod 2*pi, for the locus's form."""
+    a, b, c = LOCUS_FORMS[locus]
+    return abs(_wrap_pm_pi(a * xi[0] + b * xi[1] - c))
 
-    Above and below are taken in canonical coordinates [0, 2*pi)^2, where
-    positive orientation is xi2 > xi1, as in ``torus.orientation``.
+
+def orientation_sign(xi: tuple[float, float]) -> int:
+    """Orientation of a float point: 0 within REFINE_TOL of D_A, D_B or D_C.
+
+    Otherwise +1 where xi2 > xi1 in [0, 2*pi)^2 and -1 elsewhere, as in ``torus.orientation``.
     """
-    x, y = wrap_position(xi)
-    d = y - x
-    if abs(d) <= REFINE_TOL:
+    if any(residue(locus, xi) <= REFINE_TOL for locus in _DEGENERATE_LOCI):
         return 0
-    return 1 if d > 0 else -1
+    x, y = wrap_position(xi)
+    return 1 if y > x else -1
 
 
 def trace_path(
@@ -78,7 +85,12 @@ def trace_path(
     steps: int,
     step_size: float,
 ) -> list[PathEvent]:
-    """Trace the line and emit Start, crossings, flips, and End in step order."""
+    """Trace the line and emit Start, crossings, flips, and End in step order.
+
+    A crossing at t in (0, steps*step_size] is in the step i with
+    i*step_size < t <= (i+1)*step_size, and then in order of t and locus name.
+    Raises DomainError past MAX_CROSSINGS, or when a crossing misses REFINE_TOL.
+    """
     if velocity == (0.0, 0.0):
         raise ZeroVelocity("velocity must be nonzero")
     if steps < 1 or step_size <= 0.0:
@@ -87,58 +99,39 @@ def trace_path(
     def pos(t: float) -> tuple[float, float]:
         return (start[0] + t * velocity[0], start[1] + t * velocity[1])
 
-    events: list[PathEvent] = [
-        PathEvent(0, wrap_position(start), EventKind.START, None, wrap_position(start))
-    ]
-
-    residues = {}
+    t_end = steps * step_size
+    crossings: list[tuple[int, float, str, LocusId]] = []
     for locus, (a, b, c) in LOCUS_FORMS.items():
         slope = a * velocity[0] + b * velocity[1]
         if slope == 0.0:
             continue  # parallel to the locus: never crosses transversally
-        residues[locus] = (a, b, c)
+        if not abs(slope) * t_end <= TWO_PI * MAX_CROSSINGS:  # also catches inf and nan
+            raise DomainError(f"path crosses {locus.value} more than {MAX_CROSSINGS} times")
+        # the residue at t = 0, wrapped so that a start on the locus gives t = 0
+        r0 = _wrap_pm_pi(a * start[0] + b * start[1] - c)
+        r1 = r0 + slope * t_end
+        for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
+            t = (TWO_PI * k - r0) / slope
+            if 0.0 < t <= t_end:
+                i = math.ceil(t / step_size) - 1
+                if i * step_size >= t:
+                    i -= 1
+                elif (i + 1) * step_size < t:
+                    i += 1
+                crossings.append((i, t, locus.value, locus))
+    crossings.sort(key=lambda e: e[:3])
 
-    def residue(locus: LocusId, t: float) -> float:
-        a, b, c = residues[locus]
-        x, y = pos(t)
-        return _wrap_pm_pi(a * x + b * y - c)
+    home = wrap_position(start)
+    events = [PathEvent(0, home, EventKind.START, None, home)]
+    for i, t, _, locus in crossings:
+        refined = wrap_position(pos(t))
+        if residue(locus, refined) > REFINE_TOL:
+            raise DomainError(f"crossing of {locus.value} at t={t!r} not resolved to {REFINE_TOL}")
+        at = wrap_position(pos(i * step_size))
+        events.append(PathEvent(i, at, EventKind.LOCUS_CROSSING, locus, refined))
+        if locus in _DEGENERATE_LOCI:
+            events.append(PathEvent(i, at, EventKind.ORIENTATION_FLIP, locus, refined))
 
-    for i in range(steps):
-        t0, t1 = i * step_size, (i + 1) * step_size
-        step_events: list[tuple[float, LocusId]] = []
-        for locus in residues:
-            r0, r1 = residue(locus, t0), residue(locus, t1)
-            crossed = (r0 > 0.0 > r1) or (r0 < 0.0 < r1) or r1 == 0.0
-            if not crossed or abs(r0 - r1) >= math.pi:
-                continue  # no sign change, or the residue wrapped through +-pi
-            step_events.append((_bisect(residue, locus, t0, t1), locus))
-        for t_star, locus in sorted(step_events, key=lambda e: (e[0], e[1].value)):
-            refined = wrap_position(pos(t_star))
-            events.append(
-                PathEvent(i, wrap_position(pos(t0)), EventKind.LOCUS_CROSSING, locus, refined)
-            )
-            if locus in _DEGENERATE_LOCI:
-                events.append(
-                    PathEvent(i, wrap_position(pos(t0)), EventKind.ORIENTATION_FLIP, locus, refined)
-                )
-
-    t_end = steps * step_size
-    events.append(
-        PathEvent(steps, wrap_position(pos(t_end)), EventKind.END, None, wrap_position(pos(t_end)))
-    )
+    end = wrap_position(pos(t_end))
+    events.append(PathEvent(steps, end, EventKind.END, None, end))
     return events
-
-
-def _bisect(residue, locus: LocusId, t0: float, t1: float) -> float:
-    r0 = residue(locus, t0)
-    lo, hi = t0, t1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rm = residue(locus, mid)
-        if abs(rm) <= REFINE_TOL:
-            return mid
-        if (rm > 0.0) == (r0 > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -210,6 +210,20 @@ class TestMeasure:
         _, b, _ = run(capsys, "measure", "--samples", "5000", "--seed", "9")
         assert a == b
 
+    def test_samples_drawn_once_for_all_regions(self, capsys, monkeypatch):
+        drawn = []
+        sample_uniform = cli.measure_mod.sample_uniform
+
+        def counting(seed, n):
+            drawn.append((seed, n))
+            return sample_uniform(seed, n)
+
+        monkeypatch.setattr(cli.measure_mod, "sample_uniform", counting)
+        code, out, _ = run(capsys, "measure", "--samples", "5000", "--seed", "9")
+        assert code == 0
+        assert drawn == [(9, 5000)]
+        assert out.count("probability") == 4
+
 
 class TestPath:
     def test_orientation_flip_report(self, capsys):
@@ -240,6 +254,16 @@ class TestPath:
             after = f.split("orientation_after=")[1].split()[0]
             assert {before, after} == {"positive", "negative"}
 
+    def test_flip_of_nearly_parallel_path_changes_orientation(self, capsys):
+        # the path meets D_A at a slope of 1e-4; 1e-6 along it is 1e-10 off the locus
+        code, out, _ = run(
+            capsys, "path", "--velocity", "1", "1e-4", "--steps", "2", "--", "1/3", "-1/1000000"
+        )
+        assert code == 0
+        flips = [v for v in lines_to_dict(out).values() if "kind=orientation_flip" in v]
+        assert len(flips) == 1 and "locus=D_A" in flips[0]
+        assert "orientation_before=positive orientation_after=negative" in flips[0]
+
     def test_start_orientation_far_from_diagonal(self, capsys):
         # (5/4*pi, 1/6*pi) lies below the diagonal, more than pi from it
         code, out, _ = run(capsys, "path", "5/4", "1/6", "--velocity", "-1", "2")
@@ -254,6 +278,16 @@ class TestPath:
         assert code == 0
         d = lines_to_dict(out)
         assert d["start"].startswith("(2.09439510239")
+
+    def test_start_on_degenerate_locus_agrees_with_map(self, capsys):
+        # (0, pi/2) lies on D_B; map of (3/4, 0, 1/4) lands on the same point
+        code, out, _ = run(capsys, "path", "0", "1/2", "--velocity", "1", "1", "--steps", "2")
+        assert code == 0
+        assert lines_to_dict(out)["orientation.start"] == "zero"
+        code, out, _ = run(capsys, "map", "3/4", "0", "1/4")
+        assert code == 0
+        d = lines_to_dict(out)
+        assert (d["torus.xi1"], d["torus.xi2"], d["orientation"]) == ("0", "1/2·π", "zero")
 
     def test_zero_velocity_exits_2(self, capsys):
         code, _, err = run(capsys, "path", "0", "0", "--velocity", "0", "0")
@@ -288,6 +322,21 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "0", "0", "--velocity", "1e308", "1e308", "--steps", "2"],
+            ["path", "100000001/3", "0", "--velocity", "1", "0.3"],
+        ],
+        ids=["too-many-crossings", "crossing-beyond-float-precision"],
+    )
+    def test_unresolvable_path_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")

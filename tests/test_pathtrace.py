@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from tritorus.angles import DomainError
 from tritorus.pathtrace import (
     LOCUS_FORMS,
+    MAX_CROSSINGS,
     EventKind,
     ZeroVelocity,
     orientation_sign,
@@ -71,6 +74,68 @@ class TestTracePath:
         after = (flip.refined_position[0] + eps, flip.refined_position[1])
         assert orientation_sign(before) == 1
         assert orientation_sign(after) == -1
+
+    @pytest.mark.parametrize("step_size", [0.05, 0.5, 1.0])
+    def test_coarse_steps_find_every_crossing(self, step_size):
+        # |a*vx + b*vy| reaches 17 here, so at steps 0.5 and 1.0 a residue turns
+        # by more than pi per step; the closed form gives 143 crossings up to t = 10
+        events = trace_path((0.3, 0.7), (7.0, 3.0), round(10 / step_size), step_size)
+        crossings = [e for e in events if e.kind is EventKind.LOCUS_CROSSING]
+        assert len(crossings) == 143
+        for e in crossings:
+            assert residue_at(e.locus, e.refined_position) <= 1e-9
+
+    @given(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda n: n != (0, 0)),
+        st.floats(0.0, TWO_PI),
+        st.floats(0.0, TWO_PI),
+        st.floats(0.5, 20.0),
+        st.integers(1, 400),
+    )
+    def test_closed_path_crosses_each_locus_its_winding_number(self, n, x0, y0, period, steps):
+        # a crossing at t = 0 or t = period is ambiguous in floating point,
+        # so the start (which is also the end) stays clear of every locus
+        assume(all(residue_at(locus, (x0, y0)) > 1e-6 for locus in LOCUS_FORMS))
+        w = TWO_PI / period
+        events = trace_path((x0, y0), (w * n[0], w * n[1]), steps, period / steps)
+        assert [e.step_index for e in events] == sorted(e.step_index for e in events)
+        counts = dict.fromkeys(LOCUS_FORMS, 0)
+        for e in events:
+            if e.kind is EventKind.LOCUS_CROSSING:
+                assert 0 <= e.step_index < steps
+                assert residue_at(e.locus, e.refined_position) <= 1e-9
+                counts[e.locus] += 1
+        assert counts == {
+            locus: abs(a * n[0] + b * n[1]) for locus, (a, b, _) in LOCUS_FORMS.items()
+        }
+
+    def test_too_many_crossings_rejected(self):
+        # 1e6 * 0.5 / (2*pi) is about 80,000 crossings of D_B, over the limit
+        assert 1e6 * 0.5 > TWO_PI * MAX_CROSSINGS
+        with pytest.raises(DomainError):
+            trace_path((0.1, 0.2), (1e6, 0.0), 10, 0.05)
+        with pytest.raises(DomainError):
+            trace_path((0.0, 0.0), (1e308, 1e308), 2, 0.05)
+
+    def test_unresolvable_crossing_rejected(self):
+        # at |xi| near 1e8 a float position is only good to about 1e-8
+        with pytest.raises(DomainError):
+            trace_path((1e8, 0.5), (1.0, 0.3), 200, 0.05)
+
+
+class TestOrientationSign:
+    @pytest.mark.parametrize(
+        "xi",
+        [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (TWO_PI, 1.0), (1.0, -1e-12), (-1.0, TWO_PI - 1.0)],
+    )
+    def test_zero_on_every_degenerate_locus(self, xi):
+        assert orientation_sign(xi) == 0
+
+    @pytest.mark.parametrize(
+        "xi, sign", [((1.0, 2.0), 1), ((2.0, 1.0), -1), ((5.0, 0.5), -1), ((-0.5, 0.5), -1)]
+    )
+    def test_sign_off_the_degenerate_loci(self, xi, sign):
+        assert orientation_sign(xi) == sign
 
 
 class TestLocusForms:
