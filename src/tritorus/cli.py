@@ -76,9 +76,10 @@ def parse_angle(text: str, mode: str) -> Angle:
 
 
 def parse_pi_rational(text: str) -> PiRational:
+    # TypeError: argparse hands over [] for a coordinate given as a second "--"
     try:
         return PiRational.from_fraction(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse coordinate {text!r}: {exc}") from None
 
 
@@ -273,13 +274,15 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 0:
+def _check_sampling(args) -> None:
+    if args.samples < 0:
         raise ParseError("--samples must not be negative")
+    if args.seed < 0:
+        raise ParseError("--seed must not be negative")
 
 
 def cmd_measure(args) -> int:
-    _check_samples(args.samples)
+    _check_sampling(args)
     rep = measure_mod.analytic_measures()
     report = Report()
     for key in (
@@ -300,13 +303,8 @@ def cmd_measure(args) -> int:
         report.add("mc.seed", args.seed)
         report.add("mc.samples", args.samples)
         xi = measure_mod.sample_uniform(args.seed, args.samples)
-        for region in (
-            measure_mod.Region.OBTUSE,
-            measure_mod.Region.ACUTE,
-            measure_mod.Region.POSITIVE_ORIENTATION,
-            measure_mod.Region.NEGATIVE_ORIENTATION,
-        ):
-            est = measure_mod.estimate_from_samples(xi, region, args.seed)
+        for region, count in measure_mod.region_counts(xi).items():
+            est = measure_mod.McEstimate.from_count(count, args.samples, args.seed)
             report.add(f"mc.{region.value}.probability", _fmt_float(est.probability))
             report.add(f"mc.{region.value}.stderr", _fmt_float(est.standard_error))
     report.emit(args.json)
@@ -318,17 +316,22 @@ def _orientation_name(sign: int) -> str:
 
 
 def cmd_path(args) -> int:
-    if len(args.start) == 2:
-        start = (
-            parse_pi_rational(args.start[0]).radians,
-            parse_pi_rational(args.start[1]).radians,
-        )
-    elif len(args.start) == 3:
-        angles = _parse_three_angles(args.start, args.format)
-        rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
-        start = (_wrap(2.0 * rad[1]), _wrap(-2.0 * rad[0]))
-    else:
-        raise ParseError("start must be two torus coordinates or three angles")
+    try:
+        if len(args.start) == 2:
+            start = (
+                parse_pi_rational(args.start[0]).radians,
+                parse_pi_rational(args.start[1]).radians,
+            )
+        elif len(args.start) == 3:
+            angles = _parse_three_angles(args.start, args.format)
+            rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
+            start = (_wrap(2.0 * rad[1]), _wrap(-2.0 * rad[0]))
+        else:
+            raise ParseError("start must be two torus coordinates or three angles")
+    except OverflowError:
+        raise ParseError("start is too large for a float") from None
+    if not all(math.isfinite(c) for c in start):
+        raise ParseError("start is too large for a float")
 
     velocity = (args.velocity[0], args.velocity[1])
     if not all(math.isfinite(v) for v in velocity):
@@ -371,7 +374,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    _check_samples(args.samples)
+    _check_sampling(args)
     samples = None
     if args.samples > 0:
         samples = measure_mod.sample_uniform(args.seed, args.samples)

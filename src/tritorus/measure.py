@@ -30,6 +30,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 #: excluded from open-region counts) only within this residue tolerance.
 BOUNDARY_TOL = 1e-12
 
+#: Samples scored at a time, so scoring temporaries stay bounded for any n.
+_CHUNK = 1 << 14
+
 
 class UnsupportedLocus(DomainError):
     """Arc length requested for a zero-dimensional locus."""
@@ -69,18 +72,21 @@ class McEstimate:
     samples: int
     seed: int
 
+    @classmethod
+    def from_count(cls, count: int, samples: int, seed: int) -> McEstimate:
+        """The estimate from ``count`` of ``samples`` draws falling in the region."""
+        p_hat = count / samples
+        stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
+        return cls(probability=p_hat, standard_error=stderr, samples=samples, seed=seed)
 
-# Geometric sizes (before the multiplicity weight).  The two sheets are
-# equilateral triangles of side sqrt(2)*pi in the angle plane; the border
-# pairs are identified on the torus, so the degenerate curves count once.
+
+# Geometric areas (before the multiplicity weight).  The two sheets are
+# equilateral triangles of side sqrt(2)*pi in the angle plane.  Curve sizes
+# are summed locus lengths; the border pairs are identified on the torus,
+# so the degenerate curves count once.
 _SIZE_TOTAL = math.sqrt(3.0) * math.pi**2
 _SIZE_OBTUSE = 3.0 * math.sqrt(3.0) / 4.0 * math.pi**2
 _SIZE_ACUTE = math.sqrt(3.0) / 4.0 * math.pi**2
-_SIZE_ISOSCELES = 3.0 * math.sqrt(6.0) * math.pi
-_SIZE_RIGHT = 3.0 * math.sqrt(2.0) * math.pi
-_SIZE_DEGENERATE = 3.0 * math.sqrt(2.0) * math.pi
-_SIZE_OBTUSE_ISOSCELES = 3.0 * math.sqrt(6.0) / 2.0 * math.pi
-_SIZE_ACUTE_ISOSCELES = 3.0 * math.sqrt(6.0) / 2.0 * math.pi
 
 # Generic-member multiplicities of each family (stabilizer orders).
 MULT_AREA = 1  # generic nondegenerate scalene
@@ -91,11 +97,12 @@ MULT_DEGENERATE = 2  # generic degenerate triangle is scalene
 
 def analytic_measures() -> MeasureReport:
     """Relative measures mu = multiplicity * size for the named families."""
-    isosceles = MULT_ISOSCELES * _SIZE_ISOSCELES
-    right = MULT_RIGHT * _SIZE_RIGHT
-    degenerate = MULT_DEGENERATE * _SIZE_DEGENERATE
-    obtuse_iso = MULT_ISOSCELES * _SIZE_OBTUSE_ISOSCELES
-    acute_iso = MULT_ISOSCELES * _SIZE_ACUTE_ISOSCELES
+    iso_length = sum(map(locus_length, (LocusId.I_A, LocusId.I_B, LocusId.I_C)))
+    isosceles = MULT_ISOSCELES * iso_length
+    right = MULT_RIGHT * sum(map(locus_length, (LocusId.R_A, LocusId.R_B, LocusId.R_C)))
+    degenerate = MULT_DEGENERATE * sum(map(locus_length, (LocusId.D_A, LocusId.D_B, LocusId.D_C)))
+    # the obtuse and acute halves of each isosceles locus have equal length
+    obtuse_iso = acute_iso = MULT_ISOSCELES * iso_length / 2.0
     obtuse = MULT_AREA * _SIZE_OBTUSE
     acute = MULT_AREA * _SIZE_ACUTE
     return MeasureReport(
@@ -140,39 +147,45 @@ def sample_uniform(seed: int, n: int) -> np.ndarray:
     return rng.uniform(0.0, TWO_PI, size=(n, 2))
 
 
-def _abs_angles(xi: np.ndarray) -> np.ndarray:
-    """|interior angles| of the preimage triangle of each float sample."""
-    import numpy as np
-
-    xi1, xi2 = xi[:, 0], xi[:, 1]
-    pos = xi2 > xi1
-    a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
-    b = np.where(pos, xi1 / 2.0, math.pi - xi1 / 2.0)
-    g = np.abs(xi2 - xi1) / 2.0
-    return np.stack([a, b, g], axis=1)
-
-
-def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
-    """Boolean membership of float samples; boundary hits count as neither."""
+def _region_masks(xi: np.ndarray) -> dict[Region, np.ndarray]:
+    """Boolean membership of float samples in each region; boundary hits count as neither."""
     import numpy as np
 
     xi1, xi2 = xi[:, 0], xi[:, 1]
     diff = xi2 - xi1
-    if region is Region.POSITIVE_ORIENTATION:
-        return diff > BOUNDARY_TOL
-    if region is Region.NEGATIVE_ORIENTATION:
-        return diff < -BOUNDARY_TOL
     degenerate = (
         (np.abs(diff) <= BOUNDARY_TOL)
         | (np.minimum(xi1, TWO_PI - xi1) <= BOUNDARY_TOL)
         | (np.minimum(xi2, TWO_PI - xi2) <= BOUNDARY_TOL)
     )
-    biggest = _abs_angles(xi).max(axis=1)
-    if region is Region.OBTUSE:
-        return ~degenerate & (biggest > math.pi / 2.0 + BOUNDARY_TOL)
-    if region is Region.ACUTE:
-        return ~degenerate & (biggest < math.pi / 2.0 - BOUNDARY_TOL)
-    raise ValueError(f"unknown region {region}")
+    # |interior angles| of the preimage triangle, on the sheet given by the orientation
+    pos = xi2 > xi1
+    a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
+    b = np.where(pos, xi1 / 2.0, math.pi - xi1 / 2.0)
+    g = np.abs(diff) / 2.0
+    biggest = np.maximum(np.maximum(a, b), g)
+    return {
+        Region.OBTUSE: ~degenerate & (biggest > math.pi / 2.0 + BOUNDARY_TOL),
+        Region.ACUTE: ~degenerate & (biggest < math.pi / 2.0 - BOUNDARY_TOL),
+        Region.POSITIVE_ORIENTATION: diff > BOUNDARY_TOL,
+        Region.NEGATIVE_ORIENTATION: diff < -BOUNDARY_TOL,
+    }
+
+
+def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
+    """Boolean membership of float samples; boundary hits count as neither."""
+    return _region_masks(xi)[region]
+
+
+def region_counts(xi: np.ndarray) -> dict[Region, int]:
+    """Number of samples in each region, scored ``_CHUNK`` rows at a time."""
+    import numpy as np
+
+    counts = dict.fromkeys(Region, 0)
+    for start in range(0, len(xi), _CHUNK):
+        for region, mask in _region_masks(xi[start:start + _CHUNK]).items():
+            counts[region] += int(np.count_nonzero(mask))
+    return counts
 
 
 def estimate_probability(region: Region, n: int, seed: int) -> McEstimate:
@@ -182,7 +195,4 @@ def estimate_probability(region: Region, n: int, seed: int) -> McEstimate:
 
 def estimate_from_samples(xi: np.ndarray, region: Region, seed: int) -> McEstimate:
     """The estimate of ``estimate_probability`` on samples already drawn with ``seed``."""
-    n = len(xi)
-    p_hat = float(region_mask(xi, region).mean())
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return McEstimate(probability=p_hat, standard_error=stderr, samples=n, seed=seed)
+    return McEstimate.from_count(region_counts(xi)[region], len(xi), seed)

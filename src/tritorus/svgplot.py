@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .measure import Region, region_mask
+from .measure import Region, _region_masks
 from .torus import LocusId
 
 if TYPE_CHECKING:
@@ -48,6 +48,8 @@ _TORSION_POINTS = (
     (math.pi / 2, 3 * math.pi / 2),
     (3 * math.pi / 2, math.pi / 2),
 )
+
+_SAMPLE_COLOR = {"obtuse": "#d62728", "acute": "#2ca02c", "boundary": "#000000"}
 
 _LOCUS_STYLE = {
     "D": "stroke:#333333;stroke-width:2",
@@ -92,7 +94,7 @@ class SvgCanvas:
         self.body: list[str] = []
 
     def xy(self, p: tuple[float, float]) -> tuple[float, float]:
-        # y axis points up in the mathematical picture
+        # y axis points up in the mathematical picture; works alike on coordinate arrays
         x = self.margin + p[0] * self.scale
         y = self.size - self.margin - p[1] * self.scale
         return (x, y)
@@ -127,15 +129,15 @@ def render_fundamental_domain(
     cv.add(f'<polygon class="region-negative" points="{neg_pts}" style="fill:#d9d9d9"/>')
 
     if samples is not None and len(samples):
-        obt = region_mask(samples, Region.OBTUSE)
-        acu = region_mask(samples, Region.ACUTE)
-        for (x, y), is_obt, is_acu in zip(samples, obt, acu):
+        masks = _region_masks(samples)
+        px, py = cv.xy((samples[:, 0], samples[:, 1]))
+        for x, y, is_obt, is_acu in zip(
+            px.tolist(), py.tolist(), masks[Region.OBTUSE].tolist(), masks[Region.ACUTE].tolist()
+        ):
             cls = "obtuse" if is_obt else ("acute" if is_acu else "boundary")
-            color = {"obtuse": "#d62728", "acute": "#2ca02c", "boundary": "#000000"}[cls]
-            px, py = cv.xy((x, y))
             cv.add(
-                f'<circle class="sample {cls}" cx="{px:.3f}" cy="{py:.3f}" '
-                f'r="1.2" style="fill:{color};fill-opacity:0.5"/>'
+                f'<circle class="sample {cls}" cx="{x:.3f}" cy="{y:.3f}" '
+                f'r="1.2" style="fill:{_SAMPLE_COLOR[cls]};fill-opacity:0.5"/>'
             )
 
     lines = dict(_LOCUS_LINES)

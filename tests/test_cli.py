@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tritorus
 from tritorus import cli
@@ -224,6 +228,12 @@ class TestMeasure:
         assert drawn == [(9, 5000)]
         assert out.count("probability") == 4
 
+    def test_monte_carlo_bytes_are_pinned(self, capsys):
+        # any change to sampling, region scoring or number formatting shows up here
+        code, out, _ = run(capsys, "measure", "--samples", "400000", "--seed", "9")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "4227f64e3ffdb44e9fdfcd7896733564"
+
 
 class TestPath:
     def test_orientation_flip_report(self, capsys):
@@ -312,10 +322,17 @@ class TestBadInput:
             ["path", "1/3", "1/2", "--velocity", "1", "0", "--steps", "-3"],
             ["measure", "--samples", "-5"],
             ["plot", "--out", "unused.svg", "--samples", "-5"],
+            ["measure", "--samples", "5", "--seed", "-1"],
+            ["plot", "--out", "unused.svg", "--samples", "5", "--seed", "-1"],
+            ["path", "1e400", "0", "--velocity", "1", "0", "--steps", "2"],
+            ["path", "--format", "radians", "1.7e308", "1.7e308", "0", "--velocity", "1", "0"],
+            ["invert", "--", "0", "--"],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
             "steps-zero", "steps-negative", "measure-samples-negative", "plot-samples-negative",
+            "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
+            "start-overflows-on-the-torus", "coordinate-after-second-double-dash",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):
@@ -340,6 +357,94 @@ class TestBadInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+
+# The CLI fuzz builds each command mostly well formed, then swaps in malformed
+# tokens.  It is bounded so that no example asks for a large allocation or a
+# long run: --samples is at most 10**4 and --steps at most 10**3.  With
+# |velocity| <= 10 and a step size <= 0.5 a path crosses each locus a few
+# thousand times at most; the malformed values are refused or, for a tiny
+# velocity, held to 2**16 crossings per locus by the tracer itself.
+_JUNK = st.sampled_from([
+    "", "abc", "1/0", "0/0", "1/3/4", "0x10", "½", " 1", "nan", "inf", "-inf", "1e400",
+    "-1e400", "5e-324", "1e-300", "1e300", "1.7e308", "-", "--", "--json", "--bogus", "-h",
+])
+_FRACTION = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_ANGLE_TEXT = {
+    "pi-rational": str,
+    "degrees": lambda v: repr(float(v) * 180.0),
+    "radians": lambda v: repr(float(v) * math.pi),
+}
+
+
+def _mostly(valid):
+    """``valid`` seven times in eight, else a malformed token."""
+    return st.integers(0, 7).flatmap(lambda i: _JUNK if i == 5 else valid)
+
+
+def _one(values):
+    return _mostly(values).map(lambda v: [v])
+
+
+_OPTIONS = {
+    "--json": st.just([]),
+    "--samples": _one((st.integers(-3, 3) | st.integers(0, 10**4)).map(str)),
+    "--seed": _one((st.integers(-3, 3) | st.integers(0, 2**70)).map(str)),
+    "--velocity": st.lists(_mostly(st.floats(-10.0, 10.0).map(repr)), min_size=2, max_size=2),
+    "--steps": _one(st.integers(-5, 10**3).map(str)),
+    "--step-size": _one(st.floats(1e-3, 0.5).map(repr)),
+    "--out": st.sampled_from(["out.svg", "missing/out.svg", "", "."]).map(lambda o: [o]),
+    "--anti": st.just([]),
+}
+# command: (numbers of positionals, options, options given seven times in eight)
+_COMMANDS = {
+    "classify": ([3], ["--json", "--format"], []),
+    "map": ([3], ["--json", "--format"], []),
+    "invert": ([2], ["--json"], []),
+    "orbit": ([2], ["--json"], []),
+    "measure": ([0], ["--json", "--seed"], ["--samples"]),
+    "path": ([2, 3], ["--json", "--format", "--steps", "--step-size"], ["--velocity"]),
+    "plot": ([0], ["--json", "--seed", "--anti"], ["--out", "--samples"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    counts, optional, usual = _COMMANDS[command]
+    argv = [command]
+    mode = "pi-rational"
+    flags = [f for f in usual if draw(st.integers(0, 7)) != 5]
+    flags += [f for f in optional if draw(st.booleans())]
+    for flag in draw(st.permutations(flags)):
+        if flag == "--format":
+            mode = draw(st.sampled_from(sorted(_ANGLE_TEXT)))
+            argv += [flag, draw(_mostly(st.just(mode)))]
+        else:
+            argv += [flag, *draw(_OPTIONS[flag])]
+    # the right number of positionals seven times in eight
+    count = draw(st.integers(0, 7).flatmap(
+        lambda i: st.integers(0, 4) if i == 5 else st.sampled_from(counts)))
+    values = [draw(_FRACTION) for _ in range(count)]
+    if count == 3 and draw(st.booleans()):  # a triangle: the angles sum to pi or -pi
+        values[2] = draw(st.sampled_from([1, -1])) - values[0] - values[1]
+    text = _ANGLE_TEXT[mode] if count == 3 else str
+    positional = [draw(_mostly(st.just(text(v)))) for v in values]
+    if positional and draw(st.booleans()):
+        argv.append("--")  # lets a positional start with "-"
+    return argv + positional
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_exact_commands_do_not_import_numpy():

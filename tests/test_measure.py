@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tritorus.measure import (
+    _CHUNK,
+    BOUNDARY_TOL,
     McEstimate,
     Region,
     UnsupportedLocus,
     analytic_measures,
+    estimate_from_samples,
     estimate_probability,
     locus_length,
+    region_counts,
     region_mask,
     sample_uniform,
 )
@@ -166,3 +171,58 @@ class TestEstimates:
         expect = math.sqrt(est.probability * (1 - est.probability) / 10_000)
         assert est.standard_error == pytest.approx(expect, rel=1e-12)
         assert est.samples == 10_000 and est.seed == SEED
+
+
+def assert_counts_agree(xi):
+    counts = region_counts(xi)
+    assert list(counts) == list(Region)
+    for region in Region:
+        assert counts[region] == int(region_mask(xi, region).sum())
+
+
+TWO_PI = 2 * math.pi
+
+# rows on or within BOUNDARY_TOL of the loci that bound the regions
+BOUNDARY_ROWS = [
+    (1.0, 1.0),                                  # diagonal, D_C
+    (2.0, 2.0 + 0.5 * BOUNDARY_TOL),
+    (0.0, 1.0),                                  # xi1 = 0, D_B
+    (0.0, 4.0),
+    (1.0, TWO_PI - 1e-13),                       # xi2 just below 2*pi, D_A
+    (1.0, math.pi),                              # xi2 = pi exactly, R_A
+    (4.0, math.pi),
+    (1.0, math.pi + 0.75 * BOUNDARY_TOL),        # within the tolerance of a right angle
+    (math.pi - 0.75 * BOUNDARY_TOL, 5.0),        # R_B
+    (0.5, 0.5 + math.pi + 0.5 * BOUNDARY_TOL),   # R_C
+    (1.0, math.pi + 4 * BOUNDARY_TOL),           # just outside it, on either side
+    (1.0, math.pi - 4 * BOUNDARY_TOL),
+]
+
+
+class TestRegionCounts:
+    def test_boundary_rows(self):
+        xi = np.array(BOUNDARY_ROWS)
+        assert_counts_agree(xi)
+        for row in xi[:10]:
+            counts = region_counts(row[None, :])
+            assert counts[Region.OBTUSE] == counts[Region.ACUTE] == 0
+        outside = region_counts(xi[10:])
+        assert outside[Region.OBTUSE] + outside[Region.ACUTE] == 2
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_across_chunk_edges(self, n):
+        assert_counts_agree(sample_uniform(SEED, n))
+
+    @given(st.lists(
+        st.tuples(*[st.floats(0.0, TWO_PI, exclude_max=True)
+                    | st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])] * 2),
+        min_size=1, max_size=40,
+    ))
+    def test_agrees_with_region_mask(self, rows):
+        assert_counts_agree(np.array(rows))
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_estimate_is_the_mask_mean(self, region):
+        xi = sample_uniform(SEED, 3 * _CHUNK + 5)
+        est = estimate_from_samples(xi, region, SEED)
+        assert est.probability == float(region_mask(xi, region).mean())

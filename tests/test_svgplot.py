@@ -1,6 +1,8 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
+from tritorus import cli
 from tritorus.measure import sample_uniform
 from tritorus.svgplot import render_fundamental_domain
 
@@ -90,3 +92,11 @@ class TestSamples:
         for c in by_class(root, "circle", "sample"):
             assert 30 <= float(c.get("cx")) <= 610
             assert 30 <= float(c.get("cy")) <= 610
+
+
+def test_sample_plot_bytes_are_pinned(tmp_path, capsys):
+    # any change to sampling, region scoring or number formatting shows up here
+    out = tmp_path / "domain.svg"
+    assert cli.main(["plot", "--samples", "500", "--seed", "1", "--anti", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "dae6873013b8d31ae6972b96948f0dda"
