@@ -9,6 +9,7 @@ A triangle similarity class lives on one of two sheets: angle sums +pi
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -216,68 +217,35 @@ def make_triple(alpha: PiRational, beta: PiRational, gamma: PiRational) -> Angle
     return AngleTriple(alpha, beta, gamma, sheet)
 
 
-def _apex_vertices(a: PiRational, b: PiRational, c: PiRational) -> frozenset[str]:
-    # Equal angles at two vertices put the apex at the third.
-    apexes = set()
-    if a == b:
-        apexes.add("C")
-    if a == c:
-        apexes.add("B")
-    if b == c:
-        apexes.add("A")
-    if len(apexes) > 1:  # all three equal
-        apexes = {"A", "B", "C"}
-    return frozenset(apexes)
+def type_flags(absang, eq, zero, half) -> TypeFlags:
+    """The flag rule over the absolute angle triple, under the equality ``eq``.
+
+    ``zero`` and ``half`` are 0 and pi/2 in the angles' own type.  Equal
+    angles at two vertices put the apex at the third; two zero angles
+    (a permutation of (+-pi, 0, 0)) or two apexes make the class equilateral.
+    """
+    a, b, c = absang
+    apexes = frozenset(v for v, x, y in (("C", a, b), ("B", a, c), ("A", b, c)) if eq(x, y))
+    zeros = sum(1 for x in absang if eq(x, zero))
+    equilateral = zeros >= 2 or len(apexes) > 1
+    iso = frozenset(VERTICES) if equilateral else apexes
+    degenerate = zeros > 0
+    biggest = max(absang)
+    slanted = not degenerate and not eq(biggest, half)
+    return TypeFlags(
+        equilateral=equilateral,
+        isosceles_vertices=iso,
+        right_vertices=frozenset(v for v, x in zip(VERTICES, absang) if eq(x, half)),
+        scalene=not iso,
+        degenerate=degenerate,
+        obtuse=slanted and biggest > half,
+        acute=slanted and biggest < half,
+    )
 
 
 def taxonomy(t: AngleTriple) -> TypeFlags:
     """Classify a triple into the six main types (extended to degenerates)."""
-    absang = tuple(abs(a) for a in t.angles)
-    if t.is_degenerate():
-        return _degenerate_taxonomy(t, absang)
-
-    equilateral = absang[0] == absang[1] == absang[2]
-    iso = _apex_vertices(*absang)
-    right = frozenset(v for v, a in zip(VERTICES, absang) if a == HALF_PI)
-    biggest = max(absang)
-    return TypeFlags(
-        equilateral=equilateral,
-        isosceles_vertices=iso,
-        right_vertices=right,
-        scalene=not iso,
-        degenerate=False,
-        obtuse=biggest > HALF_PI,
-        acute=biggest < HALF_PI,
-    )
-
-
-def _degenerate_taxonomy(t: AngleTriple, absang) -> TypeFlags:
-    zeros = sum(1 for a in absang if a.is_zero())
-    equilateral = zeros >= 2  # a permutation of (+-pi, 0, 0)
-    halves = frozenset(v for v, a in zip(VERTICES, absang) if a == HALF_PI)
-    if equilateral:
-        iso = frozenset(VERTICES)
-        # The degenerate equilateral class is not counted as right: its
-        # square-angle set is empty and it is excluded from the right locus.
-        right = frozenset()
-        scalene = False
-    elif len(halves) == 2:
-        iso = _apex_vertices(*absang)
-        right = halves
-        scalene = False
-    else:
-        iso = frozenset()
-        right = frozenset()
-        scalene = all(a != HALF_PI and a != PI for a in absang if not a.is_zero())
-    return TypeFlags(
-        equilateral=equilateral,
-        isosceles_vertices=iso,
-        right_vertices=right,
-        scalene=scalene,
-        degenerate=True,
-        obtuse=False,
-        acute=False,
-    )
+    return type_flags(tuple(abs(a) for a in t.angles), operator.eq, ZERO, HALF_PI)
 
 
 def degenerate_similar(a: AngleTriple, b: AngleTriple) -> bool:

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
-from .angles import DomainError, PiRational, make_triple, taxonomy
-from .pathtrace import EventKind, trace_path
+from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple, type_flags
+from .pathtrace import EventKind, _wrap_pm_pi, trace_path
 from .torus import LocusId, TorusPoint
 
 TWO_PI = 2.0 * math.pi
@@ -101,25 +101,43 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# float-path classification (non-rational degrees/radians inputs)
+# the classify report, and float-path classification (non-rational degrees/radians inputs)
 
-_VERTEX_NAMES = ("A", "B", "C")
+
+def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, multiplicity,
+                 canonical_rep) -> Report:
+    """The classify report; every value but the flags and multiplicity comes formatted."""
+    report = Report()
+    report.add("mode", mode)
+    report.add("sheet", sheet)
+    for name, a in zip(("alpha", "beta", "gamma"), angles):
+        report.add(name, a)
+    report.add("torus.xi1", xi[0])
+    report.add("torus.xi2", xi[1])
+    report.add("orientation", orientation)
+    report.add("degenerate", str(flags.degenerate).lower())
+    report.add("equilateral", str(flags.equilateral).lower())
+    report.add("isosceles_vertices", ",".join(sorted(flags.isosceles_vertices)) or "-")
+    report.add("right_vertices", ",".join(sorted(flags.right_vertices)) or "-")
+    report.add("scalene", str(flags.scalene).lower())
+    report.add("obtuse", str(flags.obtuse).lower())
+    report.add("acute", str(flags.acute).lower())
+    report.add("loci", ",".join(loci) or "-")
+    report.add("multiplicity", multiplicity)
+    report.add("canonical_rep", canonical_rep)
+    return report
 
 
 def _wrap(x: float) -> float:
     return x % TWO_PI
 
 
-def _wrap_pm_pi(x: float) -> float:
-    return (x + math.pi) % TWO_PI - math.pi
-
-
 def _circle_eq(a: float, b: float, tol: float = FLOAT_TOL) -> bool:
     return abs(_wrap_pm_pi(a - b)) <= tol
 
 
-def classify_float(alpha: float, beta: float, gamma: float) -> Report:
-    """Tolerance-based classification for angles that are not exact p/q*pi."""
+def float_sheet(alpha: float, beta: float, gamma: float) -> str:
+    """The sheet of three float angles, checked as ``make_triple`` does, within FLOAT_TOL."""
     total = alpha + beta + gamma
     if abs(total - math.pi) <= FLOAT_TOL:
         sheet, lo, hi = "plus", 0.0, math.pi
@@ -127,39 +145,25 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
         sheet, lo, hi = "minus", -math.pi, 0.0
     else:
         raise DomainError(f"angle sum {total!r} is neither π nor -π")
-    for name, a in zip(_VERTEX_NAMES, (alpha, beta, gamma)):
+    for name, a in zip(VERTICES, (alpha, beta, gamma)):
         if not (lo - FLOAT_TOL <= a <= hi + FLOAT_TOL):
             raise DomainError(f"angle at {name} outside [{lo}, {hi}]")
+    return sheet
 
+
+def classify_float(alpha: float, beta: float, gamma: float) -> Report:
+    """Tolerance-based classification for angles that are not exact p/q*pi."""
+    sheet = float_sheet(alpha, beta, gamma)
     xi = (_wrap(2.0 * beta), _wrap(-2.0 * alpha))
-    degenerate = min(abs(alpha), abs(beta), abs(gamma)) <= FLOAT_TOL
-    absang = (abs(alpha), abs(beta), abs(gamma))
-
-    if degenerate:
+    flags = type_flags((abs(alpha), abs(beta), abs(gamma)), _circle_eq, 0.0, math.pi / 2)
+    if flags.degenerate:
         orient = "zero"
     else:
         orient = "positive" if sheet == "plus" else "negative"
 
-    eq = _circle_eq
-    iso = set()
-    if eq(absang[0], absang[1]):
-        iso.add("C")
-    if eq(absang[0], absang[2]):
-        iso.add("B")
-    if eq(absang[1], absang[2]):
-        iso.add("A")
-    if len(iso) > 1:
-        iso = {"A", "B", "C"}
-    right = {v for v, a in zip(_VERTEX_NAMES, absang) if abs(a - math.pi / 2) <= FLOAT_TOL}
-    equilateral = iso == {"A", "B", "C"}
-    biggest = max(absang)
-
-    loci = [
-        locus.value for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= FLOAT_TOL
-    ]
-    if any(_circle_eq(xi[0], ex) and _circle_eq(xi[1], ey) for ex, ey in
-           ((0.0, 0.0), (TWO_PI / 3, 2 * TWO_PI / 3), (2 * TWO_PI / 3, TWO_PI / 3))):
-        loci.append(LocusId.EQUILATERAL3.value)
+    loci = [locus for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= FLOAT_TOL]
+    if LocusId.I_A in loci and LocusId.I_C in loci:
+        loci.append(LocusId.EQUILATERAL3)
 
     images = []
     for g in symmetry.all_elements():
@@ -167,28 +171,13 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
         q = (_wrap(m00 * xi[0] + m01 * xi[1]), _wrap(m10 * xi[0] + m11 * xi[1]))
         if not any(_circle_eq(q[0], r[0]) and _circle_eq(q[1], r[1]) for r in images):
             images.append(q)
-    mult = 12 // len(images)
     rep = min(images)
 
-    report = Report()
-    report.add("mode", "float")
-    report.add("sheet", sheet)
-    for name, a in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
-        report.add(name, _fmt_float(a))
-    report.add("torus.xi1", _fmt_float(xi[0]))
-    report.add("torus.xi2", _fmt_float(xi[1]))
-    report.add("orientation", orient)
-    report.add("degenerate", str(degenerate).lower())
-    report.add("equilateral", str(equilateral).lower())
-    report.add("isosceles_vertices", ",".join(sorted(iso)) or "-")
-    report.add("right_vertices", ",".join(sorted(right)) or "-")
-    report.add("scalene", str(not iso).lower())
-    report.add("obtuse", str(not degenerate and biggest > math.pi / 2 + FLOAT_TOL).lower())
-    report.add("acute", str(not degenerate and biggest < math.pi / 2 - FLOAT_TOL).lower())
-    report.add("loci", ",".join(loci) or "-")
-    report.add("multiplicity", mult)
-    report.add("canonical_rep", f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})")
-    return report
+    return _type_report(
+        "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
+        [_fmt_float(c) for c in xi], orient, flags, [locus.value for locus in loci],
+        12 // len(images), f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +199,12 @@ def cmd_classify(args) -> int:
 
     triple = make_triple(*angles)
     info = torus.classify(torus.rho(triple))
-    flags = info.flags
-    report = Report()
-    report.add("mode", "exact")
-    report.add("sheet", triple.sheet.value)
-    for name, a in zip(("alpha", "beta", "gamma"), triple.angles):
-        report.add(name, _fmt_angle(a))
-    report.add("torus.xi1", _fmt_angle(info.point.xi1))
-    report.add("torus.xi2", _fmt_angle(info.point.xi2))
-    report.add("orientation", info.orientation.value)
-    report.add("degenerate", str(info.degenerate).lower())
-    report.add("equilateral", str(flags.equilateral).lower())
-    report.add("isosceles_vertices", ",".join(sorted(flags.isosceles_vertices)) or "-")
-    report.add("right_vertices", ",".join(sorted(flags.right_vertices)) or "-")
-    report.add("scalene", str(flags.scalene).lower())
-    report.add("obtuse", str(flags.obtuse).lower())
-    report.add("acute", str(flags.acute).lower())
-    report.add("loci", ",".join(l.value for l in info.loci) or "-")
-    report.add("multiplicity", info.multiplicity)
-    report.add("canonical_rep", _fmt_point(info.canonical_rep))
+    report = _type_report(
+        "exact", triple.sheet.value, [_fmt_angle(a) for a in triple.angles],
+        [_fmt_angle(info.point.xi1), _fmt_angle(info.point.xi2)], info.orientation.value,
+        info.flags, [l.value for l in info.loci], info.multiplicity,
+        _fmt_point(info.canonical_rep),
+    )
     report.emit(args.json)
     return 0
 
@@ -316,6 +292,7 @@ def _orientation_name(sign: int) -> str:
 
 
 def cmd_path(args) -> int:
+    angles = None
     try:
         if len(args.start) == 2:
             start = (
@@ -332,6 +309,11 @@ def cmd_path(args) -> int:
         raise ParseError("start is too large for a float") from None
     if not all(math.isfinite(c) for c in start):
         raise ParseError("start is too large for a float")
+    if angles is not None:  # a triangle, validated as classify does
+        if all(isinstance(a, PiRational) for a in angles):
+            make_triple(*angles)
+        else:
+            float_sheet(*rad)
 
     velocity = (args.velocity[0], args.velocity[1])
     if not all(math.isfinite(v) for v in velocity):

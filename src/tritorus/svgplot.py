@@ -6,31 +6,28 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .measure import Region, _region_masks
-from .torus import LocusId
+from .torus import LOCUS_EQUATIONS, LocusId
 
 if TYPE_CHECKING:
     import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# (offset point, primitive direction); the locus is offset + t*direction mod 2*pi.
-_LOCUS_LINES: dict[LocusId, tuple[tuple[float, float], tuple[int, int]]] = {
-    LocusId.D_A: ((0.0, 0.0), (1, 0)),
-    LocusId.D_B: ((0.0, 0.0), (0, 1)),
-    LocusId.D_C: ((0.0, 0.0), (1, 1)),
-    LocusId.I_A: ((0.0, 0.0), (1, 2)),
-    LocusId.I_B: ((0.0, 0.0), (2, 1)),
-    LocusId.I_C: ((0.0, 0.0), (1, -1)),
-    LocusId.R_A: ((0.0, math.pi), (1, 0)),
-    LocusId.R_B: ((math.pi, 0.0), (0, 1)),
-    LocusId.R_C: ((0.0, math.pi), (1, 1)),
-}
+_ANTI_LOCI = frozenset({LocusId.IPERP_A, LocusId.IPERP_B, LocusId.ANTI_RIGHT})
 
-_ANTI_LOCUS_LINES: dict[LocusId, tuple[tuple[float, float], tuple[int, int]]] = {
-    LocusId.IPERP_A: ((0.0, 0.0), (2, -1)),
-    LocusId.IPERP_B: ((0.0, 0.0), (1, -2)),
-    LocusId.ANTI_RIGHT: ((0.0, math.pi), (1, -1)),
-}
+
+def _locus_line(a: int, b: int, h: int) -> tuple[tuple[float, float], tuple[int, int]]:
+    """(offset point, primitive direction) of a*xi1 + b*xi2 = h*pi (mod 2*pi).
+
+    The locus is offset + t*direction mod 2*pi; the direction (-b, a) is
+    signed so that its first non-zero component is positive.
+    """
+    dx, dy = -b, a
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = b, -a
+    offset = (0.0, h * math.pi / b) if b else (h * math.pi / a, 0.0)
+    return offset, (dx, dy)
+
 
 # Torsion points of order 1, 2, 3 and 4 (identity, degenerate isosceles,
 # equilateral pair, right isosceles six).
@@ -140,13 +137,13 @@ def render_fundamental_domain(
                 f'r="1.2" style="fill:{_SAMPLE_COLOR[cls]};fill-opacity:0.5"/>'
             )
 
-    lines = dict(_LOCUS_LINES)
-    if include_anti:
-        lines.update(_ANTI_LOCUS_LINES)
-    for locus, (offset, direction) in lines.items():
-        family = "X" if locus in _ANTI_LOCUS_LINES else locus.value[0]
+    for locus, equation in LOCUS_EQUATIONS.items():
+        anti = locus in _ANTI_LOCI
+        if anti and not include_anti:
+            continue
+        family = "X" if anti else locus.value[0]
         parts = [
-            f"M {cv.fmt(a)} L {cv.fmt(b)}" for a, b in _segments(offset, direction)
+            f"M {cv.fmt(a)} L {cv.fmt(b)}" for a, b in _segments(*_locus_line(*equation))
         ]
         cv.add(
             f'<path class="locus" id="locus-{locus.value}" d="{" ".join(parts)}" '

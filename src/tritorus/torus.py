@@ -178,8 +178,8 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
 
 
 def _on_locus(k1: int, k2: int, n: int, locus: LocusId) -> bool:
-    if locus is LocusId.EQUILATERAL3:  # {(0, 0), (2*pi/3, 4*pi/3), (4*pi/3, 2*pi/3)}
-        return (3 * k1) % n == (3 * k2) % n == (k1 + k2) % n == 0
+    if locus is LocusId.EQUILATERAL3:  # the three points I_A and I_C share
+        return _on_locus(k1, k2, n, LocusId.I_A) and _on_locus(k1, k2, n, LocusId.I_C)
     a, b, h = LOCUS_EQUATIONS[locus]
     # 2*pi*(a*k1 + b*k2)/n = h*pi (mod 2*pi), doubled to stay integral for odd n
     return (2 * (a * k1 + b * k2) - h * n) % (2 * n) == 0

@@ -359,6 +359,56 @@ class TestBadInput:
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "fmt, angles",
+    [
+        ([], ["1/3", "1/3", "1/2"]),
+        (["--format", "degrees"], ["10", "10", "10"]),
+        (["--format", "radians"], ["1", "1", "1.14159265"]),
+        (["--format", "radians"], ["-0.5", "1.2", "2.44159265358979"]),
+    ],
+    ids=["exact-sum", "degrees-sum", "float-sum", "float-out-of-range"],
+)
+def test_invalid_three_angle_start_exits_2(capsys, fmt, angles):
+    # the three-angle start is checked as the triangle classify would check
+    code, out, err = run(
+        capsys, "path", *fmt, "--velocity", "1", "0", "--steps", "2", "--", *angles
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert run(capsys, "classify", *fmt, "--", *angles) == (2, "", err)
+
+
+def _grid_triples():
+    # every distinct valid triple of multiples of pi/N, N in {6, 8, 12, 24}: the
+    # multiples of pi/24 summing to pi, on both sheets
+    n = 24
+    out = []
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            ks = (k1, k2, n - k1 - k2)
+            out.append((ks, 1))
+            out.append((ks, -1))
+    return out
+
+
+def test_float_classifier_agrees_with_exact_on_the_grid(capsys):
+    grid = _grid_triples()
+    assert len(grid) == 650
+    coordinates = {"mode", "alpha", "beta", "gamma", "torus.xi1", "torus.xi2", "canonical_rep"}
+    for ks, sign in grid:
+        code, out, _ = run(capsys, "classify", "--", *(f"{sign * k}/24" for k in ks))
+        assert code == 0
+        exact = lines_to_dict(out)
+        report = cli.classify_float(*(sign * k * math.pi / 24 for k in ks))
+        floating = {key: str(value) for key, value in report.items}
+        assert list(floating) == list(exact)
+        for key in exact.keys() - coordinates:
+            assert floating[key] == exact[key], (ks, sign, key)
+
+
 # The CLI fuzz builds each command mostly well formed, then swaps in malformed
 # tokens.  It is bounded so that no example asks for a large allocation or a
 # long run: --samples is at most 10**4 and --steps at most 10**3.  With

@@ -100,3 +100,39 @@ def test_sample_plot_bytes_are_pinned(tmp_path, capsys):
     assert cli.main(["plot", "--samples", "500", "--seed", "1", "--anti", "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.md5(out.read_bytes()).hexdigest() == "dae6873013b8d31ae6972b96948f0dda"
+
+
+class TestLociFromTable:
+    """Each drawn locus lies on its row (a, b, h) of LOCUS_EQUATIONS and covers it once."""
+
+    def test_segments_lie_on_their_locus(self):
+        from tritorus.torus import LOCUS_EQUATIONS
+
+        root = parse(render_fundamental_domain(include_anti=True, size=640))
+        margin, scale = 30, (640 - 60) / TWO_PI
+        drawn = {e.get("id"): e.get("d") for e in by_class(root, "path", "locus")}
+        assert len(drawn) == len(LOCUS_EQUATIONS)
+        for locus, (a, b, h) in LOCUS_EQUATIONS.items():
+            tokens = drawn[f"locus-{locus.value}"].split()
+            assert len(tokens) % 6 == 0, locus
+
+            def residue(xi):
+                r = (a * xi[0] + b * xi[1] - h * math.pi) % TWO_PI
+                return min(r, TWO_PI - r)
+
+            length = 0.0
+            for i in range(0, len(tokens), 6):
+                assert tokens[i] == "M" and tokens[i + 3] == "L", locus
+                ends = [
+                    (
+                        (float(tokens[j]) - margin) / scale,
+                        (640 - margin - float(tokens[j + 1])) / scale,
+                    )
+                    for j in (i + 1, i + 4)
+                ]
+                mid = tuple((u + v) / 2 for u, v in zip(*ends))
+                for xi in (*ends, mid):
+                    assert residue(xi) <= 1e-6, (locus, xi)
+                length += math.dist(*ends)
+            # the segments add up to one closed turn along the direction (-b, a)
+            assert math.isclose(length, TWO_PI * math.hypot(a, b), rel_tol=1e-9), locus

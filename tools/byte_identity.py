@@ -1,0 +1,94 @@
+"""Print tritorus CLI output for a fixed corpus, for byte-identity diffs.
+
+    PYTHONPATH=src python tools/byte_identity.py classify [N] > out.txt
+    PYTHONPATH=src python tools/byte_identity.py plot
+
+``classify`` runs N (default 12,000) seeded ``classify --format
+degrees|radians`` commands in process and prints each command with its exit
+code, stdout and stderr.  The angles are kπ/q grid triples on both sheets
+(which snap to exact), the same triples jittered by 1.5e-9 to 1e-3 rad,
+uniform random triangles, degenerate ones, and invalid triples.  ``plot``
+prints the md5 of ``plot --samples 300 --seed 3`` with and without
+``--anti``.  Run it once on each tree, with PYTHONPATH pointing at that
+tree's ``src``, and compare the outputs with ``cmp``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import random
+import sys
+import tempfile
+
+from tritorus import cli
+
+
+def _grid_triple(rng: random.Random) -> list[float]:
+    q = rng.randint(1, 24)
+    k1 = rng.randint(0, q)
+    k2 = rng.randint(0, q - k1)
+    angles = [k1 * math.pi / q, k2 * math.pi / q, (q - k1 - k2) * math.pi / q]
+    rng.shuffle(angles)
+    return angles
+
+
+def _triple(rng: random.Random) -> list[float]:
+    kind = rng.randrange(5)
+    if kind == 0:  # snaps to exact
+        angles = _grid_triple(rng)
+    elif kind == 1:  # near a grid triple, moved by (d, -d, 0) or (d, d, -2d) in some order
+        angles = _grid_triple(rng)
+        d = rng.choice((-1, 1)) * 10 ** rng.uniform(math.log10(1.5e-9), -3)
+        moves = rng.choice(((d, -d, 0.0), (d, d, -2 * d)))
+        angles = [a + m for a, m in zip(angles, rng.sample(moves, 3))]
+    elif kind == 2:  # a random triangle
+        b, c = sorted(rng.uniform(0, math.pi) for _ in range(2))
+        angles = [b, c - b, math.pi - c]
+    elif kind == 3:  # degenerate: one zero angle
+        b = rng.uniform(0, math.pi)
+        angles = [0.0, b, math.pi - b]
+        rng.shuffle(angles)
+    else:  # anything, mostly invalid
+        angles = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+    if rng.random() < 0.5:
+        angles = [-a for a in angles]
+    return angles
+
+
+def classify_corpus(n: int, seed: int = 6) -> None:
+    rng = random.Random(seed)
+    for _ in range(n):
+        mode = rng.choice(("degrees", "radians"))
+        angles = _triple(rng)
+        if mode == "degrees":
+            angles = [math.degrees(a) for a in angles]
+        argv = ["classify", "--format", mode, *(["--json"] if rng.random() < 0.1 else []),
+                "--", *(repr(a) for a in angles)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        print(" ".join(argv), f"exit={code}")
+        print(out.getvalue() + err.getvalue(), end="")
+
+
+def plot_md5() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for extra in ([], ["--anti"]):
+            path = os.path.join(tmp, "domain.svg")
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["plot", "--out", path, "--samples", "300", "--seed", "3", *extra])
+            with open(path, "rb") as fh:
+                print(hashlib.md5(fh.read()).hexdigest(), "plot --samples 300 --seed 3", *extra)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["classify"]:
+        classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
+    elif sys.argv[1:2] == ["plot"]:
+        plot_md5()
+    else:
+        raise SystemExit(__doc__)
