@@ -173,7 +173,7 @@ class AngleTriple:
         return f"△[{self.alpha}, {self.beta}, {self.gamma}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeFlags:
     """Type report for one triangle similarity class.
 
@@ -249,24 +249,16 @@ def taxonomy(t: AngleTriple) -> TypeFlags:
 
 
 def degenerate_similar(a: AngleTriple, b: AngleTriple) -> bool:
-    """Similarity of degenerate triangles.
+    """Similarity of degenerate triangles: the gluing that rho makes.
 
-    True iff both have two zero interior angles, or they share the position
-    of their single zero angle and the remaining pairs are equal or
-    anti-transposed: [0,b,c] ~ [0,-c,-b], [a,0,c] ~ [-c,0,-a],
-    [a,b,0] ~ [-b,-a,0].
+    rho glues the two degenerate borders, so two degenerate triples are
+    similar iff they map to one torus point: [0,b,c] ~ [0,-c,-b],
+    [a,0,c] ~ [-c,0,-a], [a,b,0] ~ [-b,-a,0], and all triples with two zero
+    angles are similar.
     """
+    from .torus import rho  # local import: torus builds on angles
+
     for t in (a, b):
         if not t.is_degenerate():
             raise NotDegenerate(f"{t} is not degenerate")
-    za = [ang.is_zero() for ang in a.angles]
-    zb = [ang.is_zero() for ang in b.angles]
-    if sum(za) >= 2 or sum(zb) >= 2:
-        return sum(za) >= 2 and sum(zb) >= 2
-    if za != zb:
-        return False
-    rest_a = [ang for ang in a.angles if not ang.is_zero()]
-    rest_b = [ang for ang in b.angles if not ang.is_zero()]
-    same = rest_a == rest_b
-    anti = rest_a == [-rest_b[1], -rest_b[0]]
-    return same or anti
+    return rho(a) == rho(b)

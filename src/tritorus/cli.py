@@ -311,7 +311,9 @@ def cmd_path(args) -> int:
         raise ParseError("start is too large for a float")
     if angles is not None:  # a triangle, validated as classify does
         if all(isinstance(a, PiRational) for a in angles):
-            make_triple(*angles)
+            # from the exact torus point, so that a start on a locus lies on it
+            p = torus.rho(make_triple(*angles))
+            start = (p.xi1.radians, p.xi2.radians)
         else:
             float_sheet(*rad)
 

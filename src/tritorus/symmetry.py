@@ -31,15 +31,19 @@ _PERM_NAMES = {
     _T23: "(23)",
 }
 
+#: Vertex i's circle argument written in (xi1, xi2): the point (theta1, theta2, theta3)
+#: of ``project_relative`` with theta3 = 0.
+_THETA = {1: (1, 0), 2: (0, 1), 3: (0, 0)}
+
+
+def _perm_matrix(perm: Perm) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Relabel by ``perm``, then project: row i is theta_perm(i) - theta_perm(3)."""
+    last = _THETA[perm[2]]
+    return tuple(tuple(x - y for x, y in zip(_THETA[perm[i]], last)) for i in (0, 1))
+
+
 # Induced 2x2 integer matrices on (xi1, xi2), for the positive sign.
-_PERM_MATS: dict[Perm, tuple[tuple[int, int], tuple[int, int]]] = {
-    _IDENT: ((1, 0), (0, 1)),
-    _C123: ((-1, 1), (-1, 0)),
-    _C132: ((0, -1), (1, -1)),
-    _T12: ((0, 1), (1, 0)),
-    _T13: ((-1, 0), (-1, 1)),
-    _T23: ((1, -1), (0, -1)),
-}
+_PERM_MATS = {perm: _perm_matrix(perm) for perm in _PERM_NAMES}
 
 
 @dataclass(frozen=True)
@@ -81,23 +85,6 @@ class D6Word:
         return r + s
 
 
-# Dictionary between signed permutations and dihedral words, with
-# r = -(123) (rotation by pi/3) and s = -(12) (reflection).
-_WORDS: dict[tuple[int, Perm], D6Word] = {
-    (1, _IDENT): D6Word(0, False),
-    (-1, _C123): D6Word(1, False),
-    (1, _C132): D6Word(2, False),
-    (-1, _IDENT): D6Word(3, False),
-    (1, _C123): D6Word(4, False),
-    (-1, _C132): D6Word(5, False),
-    (-1, _T12): D6Word(0, True),
-    (1, _T23): D6Word(1, True),
-    (-1, _T13): D6Word(2, True),
-    (1, _T12): D6Word(3, True),
-    (-1, _T23): D6Word(4, True),
-    (1, _T13): D6Word(5, True),
-}
-
 _ELEMENTS = tuple(
     GroupElement(sign, perm)
     for sign in (1, -1)
@@ -115,7 +102,7 @@ def all_elements() -> tuple[GroupElement, ...]:
 
 
 def word_of(g: GroupElement) -> D6Word:
-    return _WORDS[(g.sign, g.perm)]
+    return _WORDS[g]
 
 
 def element_of_word(w: D6Word) -> GroupElement:
@@ -125,6 +112,11 @@ def element_of_word(w: D6Word) -> GroupElement:
     if w.s_flag:
         g = g.compose(REFLECTION)
     return g
+
+
+# Dictionary between signed permutations and dihedral words, with
+# r = -(123) (rotation by pi/3) and s = -(12) (reflection).
+_WORDS = {element_of_word(w): w for w in (D6Word(a, s) for s in (False, True) for a in range(6))}
 
 
 _MATRICES = tuple(g.matrix() for g in _ELEMENTS)
@@ -175,13 +167,15 @@ def similar(p: TorusPoint, q: TorusPoint) -> bool:
     return canonical_rep(p) == canonical_rep(q)
 
 
+def _det(m) -> int:
+    (m00, m01), (m10, m11) = m
+    return m00 * m11 - m01 * m10
+
+
 def orientation_preserving_subgroup() -> tuple[GroupElement, ...]:
-    """The index-2 subgroup <r^2, s> = D3 preserving orientation."""
-    return (
-        GroupElement(1, _IDENT),
-        GroupElement(1, _C123),
-        GroupElement(1, _C132),
-        GroupElement(-1, _T12),
-        GroupElement(-1, _T13),
-        GroupElement(-1, _T23),
-    )
+    """The index-2 subgroup <r^2, s> = D3 preserving orientation.
+
+    An odd relabeling reverses orientation and so does the minus sign, so an
+    element preserves it when its sign is the determinant of its relabeling.
+    """
+    return tuple(g for g in _ELEMENTS if g.sign == _det(_PERM_MATS[g.perm]))

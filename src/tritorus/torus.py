@@ -9,20 +9,12 @@ degenerate borders together.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
 
-from .angles import (
-    PI,
-    ZERO,
-    AngleTriple,
-    PiRational,
-    Sheet,
-    TypeFlags,
-    make_triple,
-    taxonomy,
-)
+from .angles import ZERO, AngleTriple, PiRational, Sheet, TypeFlags, type_flags
 
 
 class OrientationSign(Enum):
@@ -65,7 +57,7 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """A point of the torus, coordinates canonically reduced mod 2*pi."""
 
@@ -139,42 +131,40 @@ def orientation(p: TorusPoint) -> OrientationSign:
     return OrientationSign.NEGATIVE
 
 
-_VERTEX_COEFFS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+def _lifts(k: int, n: int) -> tuple[int, ...]:
+    """The integers in [0, n] congruent to k mod n, largest first."""
+    r = k % n
+    return (n, 0) if r == 0 else (r,)
+
+
+def _fiber(k1: int, k2: int, n: int) -> list[tuple[int, int, int]]:
+    """Numerators m of the triangles pi*m/n that rho maps to 2*pi*(k1, k2)/n.
+
+    rho(alpha, beta, gamma) = (2*beta, -2*alpha) puts beta = pi*k1/n and
+    alpha = -pi*k2/n (mod pi); on sheet s = +-1, gamma closes the sum to s*pi
+    and every s*m lies in [0, n].  Plus sheet first, each sheet by decreasing
+    s*m: the identity has the six vertex triples, every other degenerate point
+    one triple per sheet, and a nondegenerate point one triple.
+    """
+    return [
+        (s * a, s * b, s * (n - a - b))
+        for s in (1, -1)
+        for a in _lifts(-s * k2, n)
+        for b in _lifts(s * k1, n)
+        if a + b <= n
+    ]
 
 
 def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
-    """All triangles mapping to ``p``, plus-sheet first.
-
-    The identity has the six vertex triples; every other degenerate point
-    has one preimage on each degenerate border; a nondegenerate point has
-    exactly one preimage, on the sheet matching its orientation.
-    """
-    xi1, xi2 = p.xi1, p.xi2
-    if xi1.is_zero() and xi2.is_zero():
-        return tuple(
-            make_triple(PI * a, PI * b, PI * c) for a, b, c in _VERTEX_COEFFS
+    """All triangles mapping to ``p``, in the order of ``_fiber``."""
+    k1, k2, n = p.lattice()
+    return tuple(
+        AngleTriple(
+            PiRational(ma, n), PiRational(mb, n), PiRational(mc, n),
+            Sheet.PLUS if ma + mb + mc > 0 else Sheet.MINUS,
         )
-    if xi2.is_zero():  # (e^{i*2b}, 1, 1): zero angle at A
-        b = xi1 / 2
-        return (
-            make_triple(ZERO, b, PI - b),
-            make_triple(ZERO, -PI + b, -b),
-        )
-    if xi1.is_zero():  # (1, e^{-i*2a}, 1): zero angle at B
-        a = PI - xi2 / 2
-        return (
-            make_triple(a, ZERO, PI - a),
-            make_triple(-PI + a, ZERO, -a),
-        )
-    if xi1 == xi2:  # (e^{i*2b}, e^{i*2b}, 1): zero angle at C
-        b = xi1 / 2
-        return (
-            make_triple(PI - b, b, ZERO),
-            make_triple(-b, -PI + b, ZERO),
-        )
-    if xi2 > xi1:
-        return (make_triple(PI - xi2 / 2, xi1 / 2, (xi2 - xi1) / 2),)
-    return (make_triple(-(xi2 / 2), xi1 / 2 - PI, (xi2 - xi1) / 2),)
+        for ma, mb, mc in _fiber(k1, k2, n)
+    )
 
 
 def _on_locus(k1: int, k2: int, n: int, locus: LocusId) -> bool:
@@ -190,7 +180,7 @@ def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     return _on_locus(*p.lattice(), locus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Everything knowable about one torus point."""
 
@@ -200,24 +190,29 @@ class Classification:
     flags: TypeFlags
     loci: tuple[LocusId, ...]
     multiplicity: int
-    preimages: tuple[AngleTriple, ...]
     canonical_rep: TorusPoint
+
+    @property
+    def preimages(self) -> tuple[AngleTriple, ...]:
+        return rho_preimages(self.point)
 
 
 def classify(p: TorusPoint) -> Classification:
-    """Full type report; the flags are those of the (shared) preimage class."""
+    """Full type report; the flags are those of the (shared) preimage class.
+
+    The flag rule reads the plus-first preimage's numerators, in units of pi/(2n).
+    """
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
     k1, k2, n = p.lattice()
     orb = symmetry.lattice_orbit(k1, k2, n)
-    preims = rho_preimages(p)
+    flags = type_flags(tuple(2 * abs(m) for m in _fiber(k1, k2, n)[0]), operator.eq, 0, n)
     return Classification(
         point=p,
         orientation=orientation(p),
-        degenerate=p.is_degenerate(),
-        flags=taxonomy(preims[0]),
+        degenerate=flags.degenerate,
+        flags=flags,
         loci=tuple(l for l in LocusId if _on_locus(k1, k2, n, l)),
         multiplicity=12 // len(orb),
-        preimages=preims,
         canonical_rep=TorusPoint.from_lattice(*min(orb), n),
     )

@@ -151,6 +151,23 @@ def degenerate_grid(den=6):
     return out
 
 
+def case_analysis_similar(a, b):
+    """Reference: degenerate similarity by cases, written without rho.
+
+    Both have two zero angles, or they share the position of their single
+    zero angle and the remaining pairs are equal or anti-transposed.
+    """
+    za = [ang.is_zero() for ang in a.angles]
+    zb = [ang.is_zero() for ang in b.angles]
+    if sum(za) >= 2 or sum(zb) >= 2:
+        return sum(za) >= 2 and sum(zb) >= 2
+    if za != zb:
+        return False
+    rest_a = [ang for ang in a.angles if not ang.is_zero()]
+    rest_b = [ang for ang in b.angles if not ang.is_zero()]
+    return rest_a == rest_b or rest_a == [-rest_b[1], -rest_b[0]]
+
+
 class TestDegenerateSimilar:
     def test_vertex_triples_all_similar(self):
         vertices = [
@@ -180,6 +197,13 @@ class TestDegenerateSimilar:
         bad = make_triple(pr(1, 3), pr(1, 3), pr(1, 3))
         with pytest.raises(NotDegenerate):
             degenerate_similar(good, bad)
+
+    def test_agrees_with_case_analysis(self):
+        grid = {t for den in (1, 2, 3, 4, 5, 6, 8, 12) for t in degenerate_grid(den)}
+        assert len(grid) == 120
+        for a in grid:
+            for b in grid:
+                assert degenerate_similar(a, b) == case_analysis_similar(a, b)
 
     def test_equivalence_relation_on_grid(self):
         grid = degenerate_grid()

@@ -289,6 +289,20 @@ class TestPath:
         d = lines_to_dict(out)
         assert d["start"].startswith("(2.09439510239")
 
+    @pytest.mark.parametrize("angles, coords", [
+        (("1/3", "1/3", "1/3"), ("2/3", "4/3")),
+        (("2/3", "1/6", "1/6"), ("1/3", "2/3")),
+        (("-5/12", "-7/12", "0"), ("5/6", "5/6")),
+    ])
+    def test_three_exact_angles_start_where_their_torus_point_starts(self, capsys, angles, coords):
+        # the start is the exact torus point, so both forms report the same crossings
+        events = []
+        for start in (angles, coords):
+            code, out, _ = run(capsys, "path", "--velocity", "1", "0", "--steps", "2", "--", *start)
+            assert code == 0
+            events.append({k: v for k, v in lines_to_dict(out).items() if k.startswith("event.")})
+        assert events[0] == events[1]
+
     def test_start_on_degenerate_locus_agrees_with_map(self, capsys):
         # (0, pi/2) lies on D_B; map of (3/4, 0, 1/4) lands on the same point
         code, out, _ = run(capsys, "path", "0", "1/2", "--velocity", "1", "1", "--steps", "2")

@@ -125,13 +125,16 @@ class TestPreimages:
     def test_inversion_formulas_against_brute_force(self):
         # Oracle: enumerate rho over a full grid of triples and compare
         # fibers with rho_preimages, independently of the inversion formulas.
-        den = 12
-        fibers = {}
-        for t in sheet_grid(den):
-            fibers.setdefault(rho(t), set()).add(t)
-        assert len(fibers) > 100
-        for p, triples in fibers.items():
-            assert set(rho_preimages(p)) == triples
+        for den in (12, 15):  # an even and an odd lattice order
+            fibers = {}
+            for t in sheet_grid(den):
+                fibers.setdefault(rho(t), set()).add(t)
+            assert len(fibers) > 100
+            for p, triples in fibers.items():
+                pre = rho_preimages(p)
+                assert set(pre) == triples
+                sheets = [t.sheet for t in pre]
+                assert sheets == sorted(sheets, key=lambda s: s is Sheet.MINUS)
 
     def test_round_trip_on_grid(self):
         for t in sheet_grid(16):
@@ -349,6 +352,16 @@ class TestClassify:
         assert c.flags.isosceles
         assert c.multiplicity == 2
         assert LocusId.R_A in c.loci
+
+    def test_flags_agree_with_taxonomy_of_the_preimage(self):
+        # the numerator flags against taxonomy of the built triangle, at every point of order <= 24
+        for n in range(1, 25):
+            for k1 in range(n):
+                for k2 in range(n):
+                    p = TorusPoint.from_lattice(k1, k2, n)
+                    c = classify(p)
+                    assert c.flags == taxonomy(rho_preimages(p)[0])
+                    assert c.degenerate == p.is_degenerate()
 
     def test_degenerate_flags_shared_across_preimages(self):
         rng = random.Random(5)

@@ -1,16 +1,20 @@
 """Print tritorus CLI output for a fixed corpus, for byte-identity diffs.
 
     PYTHONPATH=src python tools/byte_identity.py classify [N] > out.txt
+    PYTHONPATH=src python tools/byte_identity.py exact > out.txt
     PYTHONPATH=src python tools/byte_identity.py plot
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
 degrees|radians`` commands in process and prints each command with its exit
 code, stdout and stderr.  The angles are kπ/q grid triples on both sheets
 (which snap to exact), the same triples jittered by 1.5e-9 to 1e-3 rad,
-uniform random triangles, degenerate ones, and invalid triples.  ``plot``
-prints the md5 of ``plot --samples 300 --seed 3`` with and without
-``--anti``.  Run it once on each tree, with PYTHONPATH pointing at that
-tree's ``src``, and compare the outputs with ``cmp``.
+uniform random triangles, degenerate ones, and invalid triples.  ``exact``
+runs ``invert``, ``invert --json`` and ``orbit`` at every torsion point
+2π(k1, k2)/n with n <= 24, and exact ``classify`` on every triple of
+multiples of π/N with N <= 24, on both sheets.  ``plot`` prints the md5 of
+``plot --samples 300 --seed 3`` with and without ``--anti``.  Run it once on
+each tree, with PYTHONPATH pointing at that tree's ``src``, and compare the
+outputs with ``cmp``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 
 from tritorus import cli
+
+EXACT_MAX_ORDER = 24
 
 
 def _grid_triple(rng: random.Random) -> list[float]:
@@ -66,13 +73,30 @@ def classify_corpus(n: int, seed: int = 6) -> None:
         angles = _triple(rng)
         if mode == "degrees":
             angles = [math.degrees(a) for a in angles]
-        argv = ["classify", "--format", mode, *(["--json"] if rng.random() < 0.1 else []),
-                "--", *(repr(a) for a in angles)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        print(" ".join(argv), f"exit={code}")
-        print(out.getvalue() + err.getvalue(), end="")
+        _run(["classify", "--format", mode, *(["--json"] if rng.random() < 0.1 else []),
+              "--", *(repr(a) for a in angles)])
+
+
+def exact_corpus() -> None:
+    for n in range(1, EXACT_MAX_ORDER + 1):
+        for k1 in range(n):
+            for k2 in range(n):
+                xi = [str(Fraction(2 * k, n)) for k in (k1, k2)]
+                for command in (["invert"], ["invert", "--json"], ["orbit"]):
+                    _run([*command, "--", *xi])
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                for sign in (1, -1):
+                    _run(["classify", "--", *(str(Fraction(sign * k, n)) for k in (i, j, n - i - j))])
+
+
+def _run(argv: list[str]) -> None:
+    """Print the command, its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(" ".join(argv), f"exit={code}")
+    print(out.getvalue() + err.getvalue(), end="")
 
 
 def plot_md5() -> None:
@@ -88,6 +112,8 @@ def plot_md5() -> None:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["classify"]:
         classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
+    elif sys.argv[1:2] == ["exact"]:
+        exact_corpus()
     elif sys.argv[1:2] == ["plot"]:
         plot_md5()
     else:
