@@ -133,7 +133,6 @@ class PiRational:
 ZERO = PiRational(0)
 PI = PiRational(1)
 HALF_PI = PiRational(1, 2)
-TWO_PI = PiRational(2)
 
 
 class Sheet(Enum):

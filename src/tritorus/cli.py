@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,10 +19,8 @@ from typing import Optional, Sequence, Union
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
 from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple, type_flags
-from .pathtrace import EventKind, _wrap_pm_pi, trace_path
-from .torus import LocusId, TorusPoint
-
-TWO_PI = 2.0 * math.pi
+from .pathtrace import EventKind, _wrap_pm_pi, trace_path, wrap_position
+from .torus import TWO_PI, LocusId, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
 #: with denominator up to this bound, when within FLOAT_TOL radians.
@@ -51,12 +50,6 @@ def _fmt_angle(a: Angle) -> str:
 
 def _fmt_point(p: TorusPoint) -> str:
     return f"({p.xi1}, {p.xi2})"
-
-
-def _json_angle(a: Angle):
-    if isinstance(a, PiRational):
-        return {"pi_multiple": f"{a.numerator}/{a.denominator}"}
-    return {"radians": a}
 
 
 def parse_angle(text: str, mode: str) -> Angle:
@@ -128,12 +121,8 @@ def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, m
     return report
 
 
-def _wrap(x: float) -> float:
-    return x % TWO_PI
-
-
-def _circle_eq(a: float, b: float, tol: float = FLOAT_TOL) -> bool:
-    return abs(_wrap_pm_pi(a - b)) <= tol
+def _circle_eq(a: float, b: float) -> bool:
+    return abs(_wrap_pm_pi(a - b)) <= FLOAT_TOL
 
 
 def float_sheet(alpha: float, beta: float, gamma: float) -> str:
@@ -154,7 +143,7 @@ def float_sheet(alpha: float, beta: float, gamma: float) -> str:
 def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     """Tolerance-based classification for angles that are not exact p/q*pi."""
     sheet = float_sheet(alpha, beta, gamma)
-    xi = (_wrap(2.0 * beta), _wrap(-2.0 * alpha))
+    xi = wrap_position((2.0 * beta, -2.0 * alpha))
     flags = type_flags((abs(alpha), abs(beta), abs(gamma)), _circle_eq, 0.0, math.pi / 2)
     if flags.degenerate:
         orient = "zero"
@@ -166,9 +155,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
         loci.append(LocusId.EQUILATERAL3)
 
     images = []
-    for g in symmetry.all_elements():
-        (m00, m01), (m10, m11) = g.matrix()
-        q = (_wrap(m00 * xi[0] + m01 * xi[1]), _wrap(m10 * xi[0] + m11 * xi[1]))
+    for q in symmetry.images(*xi, TWO_PI):
         if not any(_circle_eq(q[0], r[0]) and _circle_eq(q[1], r[1]) for r in images):
             images.append(q)
     rep = min(images)
@@ -259,20 +246,12 @@ def _check_sampling(args) -> None:
 
 def cmd_measure(args) -> int:
     _check_sampling(args)
-    rep = measure_mod.analytic_measures()
+    analytic = dataclasses.asdict(measure_mod.analytic_measures())
+    ratios = analytic.pop("ratios")
     report = Report()
-    for key in (
-        "total",
-        "obtuse",
-        "acute",
-        "isosceles",
-        "right",
-        "degenerate",
-        "obtuse_isosceles",
-        "acute_isosceles",
-    ):
-        report.add(f"analytic.{key}", _fmt_float(getattr(rep, key)))
-    for name, value in rep.ratios.items():
+    for key, value in analytic.items():
+        report.add(f"analytic.{key}", _fmt_float(value))
+    for name, value in ratios.items():
         report.add(f"ratio.{name}", _fmt_float(value))
     if args.samples > 0:
         report.add("mc.algorithm", measure_mod.RNG_ALGORITHM)
@@ -302,7 +281,7 @@ def cmd_path(args) -> int:
         elif len(args.start) == 3:
             angles = _parse_three_angles(args.start, args.format)
             rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
-            start = (_wrap(2.0 * rad[1]), _wrap(-2.0 * rad[0]))
+            start = wrap_position((2.0 * rad[1], -2.0 * rad[0]))
         else:
             raise ParseError("start must be two torus coordinates or three angles")
     except OverflowError:

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .torus import LOCUS_EQUATIONS, LocusId
+from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
 from .angles import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 #: Identity of the deterministic generator backing ``sample_uniform``.
 RNG_ALGORITHM = "numpy-pcg64"

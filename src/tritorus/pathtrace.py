@@ -13,9 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .angles import DomainError
-from .torus import LOCUS_EQUATIONS, LocusId
-
-TWO_PI = 2.0 * math.pi
+from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
 
 #: Residue magnitude below which a crossing is accepted.
 REFINE_TOL = 1e-9
@@ -39,7 +37,6 @@ class EventKind(Enum):
 @dataclass(frozen=True)
 class PathEvent:
     step_index: int
-    position: tuple[float, float]
     kind: EventKind
     locus: Optional[LocusId]
     refined_position: tuple[float, float]
@@ -107,12 +104,13 @@ def trace_path(
             continue  # parallel to the locus: never crosses transversally
         if not abs(slope) * t_end <= TWO_PI * MAX_CROSSINGS:  # also catches inf and nan
             raise DomainError(f"path crosses {locus.value} more than {MAX_CROSSINGS} times")
-        # the residue at t = 0, wrapped so that a start on the locus gives t = 0
+        # the residue at t = 0, wrapped so that a crossing at the start is k = 0; a start
+        # within REFINE_TOL lies on the locus, as in orientation_sign, and does not cross it
         r0 = _wrap_pm_pi(a * start[0] + b * start[1] - c)
         r1 = r0 + slope * t_end
         for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
             t = (TWO_PI * k - r0) / slope
-            if 0.0 < t <= t_end:
+            if 0.0 < t <= t_end and (k or abs(r0) > REFINE_TOL):
                 i = math.ceil(t / step_size) - 1
                 if i * step_size >= t:
                     i -= 1
@@ -122,16 +120,15 @@ def trace_path(
     crossings.sort(key=lambda e: e[:3])
 
     home = wrap_position(start)
-    events = [PathEvent(0, home, EventKind.START, None, home)]
+    events = [PathEvent(0, EventKind.START, None, home)]
     for i, t, _, locus in crossings:
         refined = wrap_position(pos(t))
         if residue(locus, refined) > REFINE_TOL:
             raise DomainError(f"crossing of {locus.value} at t={t!r} not resolved to {REFINE_TOL}")
-        at = wrap_position(pos(i * step_size))
-        events.append(PathEvent(i, at, EventKind.LOCUS_CROSSING, locus, refined))
+        events.append(PathEvent(i, EventKind.LOCUS_CROSSING, locus, refined))
         if locus in _DEGENERATE_LOCI:
-            events.append(PathEvent(i, at, EventKind.ORIENTATION_FLIP, locus, refined))
+            events.append(PathEvent(i, EventKind.ORIENTATION_FLIP, locus, refined))
 
     end = wrap_position(pos(t_end))
-    events.append(PathEvent(steps, end, EventKind.END, None, end))
+    events.append(PathEvent(steps, EventKind.END, None, end))
     return events

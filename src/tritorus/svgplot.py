@@ -6,12 +6,10 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .measure import Region, _region_masks
-from .torus import LOCUS_EQUATIONS, LocusId
+from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
 
 if TYPE_CHECKING:
     import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 _ANTI_LOCI = frozenset({LocusId.IPERP_A, LocusId.IPERP_B, LocusId.ANTI_RIGHT})
 
@@ -84,10 +82,10 @@ def _segments(offset: tuple[float, float], direction: tuple[int, int]):
 
 
 class SvgCanvas:
-    def __init__(self, size: int = 640, margin: int = 30):
+    def __init__(self, size: int = 640):
         self.size = size
-        self.margin = margin
-        self.scale = (size - 2 * margin) / TWO_PI
+        self.margin = 30
+        self.scale = (size - 2 * self.margin) / TWO_PI
         self.body: list[str] = []
 
     def xy(self, p: tuple[float, float]) -> tuple[float, float]:

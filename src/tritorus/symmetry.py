@@ -122,20 +122,24 @@ _WORDS = {element_of_word(w): w for w in (D6Word(a, s) for s in (False, True) fo
 _MATRICES = tuple(g.matrix() for g in _ELEMENTS)
 
 
-def _image(m, k1: int, k2: int, n: int) -> tuple[int, int]:
-    (m00, m01), (m10, m11) = m
-    return ((m00 * k1 + m01 * k2) % n, (m10 * k1 + m11 * k2) % n)
+def images(x: float, y: float, modulus: float) -> list[tuple[float, float]]:
+    """The 12 matrix images of (x, y) mod ``modulus``, in ``all_elements()`` order.
+
+    For lattice numerators the modulus is the order n; for float radians it is 2*pi.
+    """
+    return [((m00 * x + m01 * y) % modulus, (m10 * x + m11 * y) % modulus)
+            for (m00, m01), (m10, m11) in _MATRICES]
 
 
 def lattice_orbit(k1: int, k2: int, n: int) -> set[tuple[int, int]]:
     """Orbit of the torsion point 2*pi*(k1, k2)/n, as integer pairs mod n."""
-    return {_image(m, k1, k2, n) for m in _MATRICES}
+    return set(images(k1, k2, n))
 
 
 def act(g: GroupElement, p: TorusPoint) -> TorusPoint:
     """Apply the integer matrix of ``g`` to the relative arguments mod 2*pi."""
     k1, k2, n = p.lattice()
-    return TorusPoint.from_lattice(*_image(g.matrix(), k1, k2, n), n)
+    return TorusPoint.from_lattice(*images(k1, k2, n)[_ELEMENTS.index(g)], n)
 
 
 def orbit(p: TorusPoint) -> frozenset[TorusPoint]:
@@ -145,7 +149,7 @@ def orbit(p: TorusPoint) -> frozenset[TorusPoint]:
 
 def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
     k1, k2, n = p.lattice()
-    return tuple(g for g in _ELEMENTS if _image(g.matrix(), k1, k2, n) == (k1, k2))
+    return tuple(g for g, q in zip(_ELEMENTS, images(k1, k2, n)) if q == (k1, k2))
 
 
 def multiplicity(p: TorusPoint) -> int:

@@ -9,10 +9,10 @@ degenerate borders together.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 
 from .angles import ZERO, AngleTriple, PiRational, Sheet, TypeFlags, type_flags
 
@@ -56,6 +56,9 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
     LocusId.ANTI_RIGHT: (1, 1, 1),
 }
 
+#: The period of each coordinate, in float radians.
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True, slots=True)
 class TorusPoint:
@@ -81,7 +84,7 @@ class TorusPoint:
         p1, q1 = self.xi1.numerator, self.xi1.denominator
         p2, q2 = self.xi2.numerator, self.xi2.denominator
         # xi/(2*pi) = p/(2q) in lowest terms has denominator q for even p, 2q for odd p.
-        n = lcm(q1 if p1 % 2 == 0 else 2 * q1, q2 if p2 % 2 == 0 else 2 * q2)
+        n = math.lcm(q1 if p1 % 2 == 0 else 2 * q1, q2 if p2 % 2 == 0 else 2 * q2)
         return p1 * n // (2 * q1), p2 * n // (2 * q2), n
 
     def key(self) -> tuple:

@@ -303,6 +303,21 @@ class TestPath:
             events.append({k: v for k, v in lines_to_dict(out).items() if k.startswith("event.")})
         assert events[0] == events[1]
 
+    @pytest.mark.parametrize("start", [
+        ("4/3", "5/3"),
+        ("1/6", "1/3", "1/2"),
+        ("1/6", "2/3", "1/6"),
+        ("5/12", "1/12", "1/2"),
+        ("5/12", "1/6", "5/12"),
+    ])
+    def test_start_on_a_locus_is_no_crossing_at_step_0(self, capsys, start):
+        # each start lies on a locus that its float coordinates miss by a rounding error
+        code, out, _ = run(capsys, "path", "--velocity", "1", "0", "--steps", "2", "--", *start)
+        assert code == 0
+        events = [v for k, v in lines_to_dict(out).items() if k.startswith("event.")]
+        assert events[0].startswith("kind=start") and events[-1].startswith("kind=end")
+        assert not [e for e in events if e.startswith("kind=locus_crossing step=0 ")]
+
     def test_start_on_degenerate_locus_agrees_with_map(self, capsys):
         # (0, pi/2) lies on D_B; map of (3/4, 0, 1/4) lands on the same point
         code, out, _ = run(capsys, "path", "0", "1/2", "--velocity", "1", "1", "--steps", "2")

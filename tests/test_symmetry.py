@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from tritorus.symmetry import (
     all_elements,
     canonical_rep,
     element_of_word,
+    images,
+    lattice_orbit,
     multiplicity,
     orbit,
     orientation_preserving_subgroup,
@@ -237,6 +240,34 @@ class TestLatticeAgainstFractions:
         rep = canonical_rep(p)
         assert rep == min(orbit(p), key=TorusPoint.key)
         assert rep.key() == min(fraction_image(g, p) for g in all_elements())
+
+
+def by_hand(g, x, y, modulus):
+    (m00, m01), (m10, m11) = g.matrix()
+    return ((m00 * x + m01 * y) % modulus, (m10 * x + m11 * y) % modulus)
+
+
+class TestImages:
+    @given(st.integers(-500, 500), st.integers(-500, 500), st.integers(1, 97))
+    def test_lattice_images_in_element_order(self, k1, k2, n):
+        assert images(k1, k2, n) == [by_hand(g, k1, k2, n) for g in all_elements()]
+
+    @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    def test_float_images_in_element_order(self, x, y):
+        two_pi = 2 * math.pi
+        assert images(x, y, two_pi) == [by_hand(g, x, y, two_pi) for g in all_elements()]
+
+    @given(mixed_points)
+    def test_lattice_orbit_is_the_set_of_images(self, p):
+        k1, k2, n = p.lattice()
+        assert lattice_orbit(k1, k2, n) == set(images(k1, k2, n))
+
+    @given(mixed_points)
+    def test_stabilizer_is_the_elements_whose_image_is_the_point(self, p):
+        k1, k2, n = p.lattice()
+        fixing = tuple(g for g in all_elements() if by_hand(g, k1, k2, n) == (k1, k2))
+        assert stabilizer(p) == fixing
+        assert all(act(g, p) == p for g in fixing)
 
 
 class TestSimilar:

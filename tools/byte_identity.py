@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/byte_identity.py classify [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py exact > out.txt
+    PYTHONPATH=src python tools/byte_identity.py path [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py plot
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
@@ -11,7 +12,10 @@ code, stdout and stderr.  The angles are kπ/q grid triples on both sheets
 uniform random triangles, degenerate ones, and invalid triples.  ``exact``
 runs ``invert``, ``invert --json`` and ``orbit`` at every torsion point
 2π(k1, k2)/n with n <= 24, and exact ``classify`` on every triple of
-multiples of π/N with N <= 24, on both sheets.  ``plot`` prints the md5 of
+multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
+4,000) seeded ``path`` commands from starts given as two p/q coordinates,
+three exact angles, or decimal coordinates near a p/q point, with integer or
+float velocities and step sizes 0.05, 0.3 and 1.  ``plot`` prints the md5 of
 ``plot --samples 300 --seed 3`` with and without ``--anti``.  Run it once on
 each tree, with PYTHONPATH pointing at that tree's ``src``, and compare the
 outputs with ``cmp``.
@@ -90,6 +94,37 @@ def exact_corpus() -> None:
                     _run(["classify", "--", *(str(Fraction(sign * k, n)) for k in (i, j, n - i - j))])
 
 
+def _path_start(rng: random.Random) -> list[str]:
+    n = rng.choice((1, 2, 3, 4, 6, 8, 12, 24, rng.randint(1, 60)))
+    kind = rng.randrange(3)
+    if kind == 0:  # a torsion point as two p/q coordinates
+        return [str(Fraction(2 * rng.randrange(n), n)) for _ in range(2)]
+    if kind == 1:  # three exact angles, on either sheet, a few of them invalid
+        k1 = rng.randint(0, n)
+        k2 = rng.randint(0, n - k1)
+        ks = [k1, k2, n - k1 - k2 + (rng.random() < 0.05)]
+        sign = rng.choice((1, -1))
+        return [str(Fraction(sign * k, n)) for k in rng.sample(ks, 3)]
+    # decimal coordinates within 1e-12 to 1e-3 (or exactly 0) of a torsion point
+    coords = []
+    for _ in range(2):
+        d = rng.choice((0.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -3)))
+        coords.append(repr(2 * rng.randrange(n) / n + d))
+    return coords
+
+
+def path_corpus(n: int, seed: int = 8) -> None:
+    rng = random.Random(seed)
+    for _ in range(n):
+        if rng.random() < 0.5:
+            velocity = [str(rng.randint(-3, 3)) for _ in range(2)]
+        else:
+            velocity = [repr(rng.uniform(-3, 3)) for _ in range(2)]
+        step_size = rng.choice(("0.05", "0.3", "1"))
+        _run(["path", "--velocity", *velocity, "--steps", str(rng.randint(1, 40)),
+              "--step-size", step_size, "--", *_path_start(rng)])
+
+
 def _run(argv: list[str]) -> None:
     """Print the command, its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -114,6 +149,8 @@ if __name__ == "__main__":
         classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
     elif sys.argv[1:2] == ["exact"]:
         exact_corpus()
+    elif sys.argv[1:2] == ["path"]:
+        path_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 4000)
     elif sys.argv[1:2] == ["plot"]:
         plot_md5()
     else:
