@@ -19,11 +19,11 @@ from typing import Optional, Sequence, Union
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
 from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple, type_flags
-from .pathtrace import EventKind, _wrap_pm_pi, trace_path, wrap_position
+from .pathtrace import REFINE_TOL, EventKind, _wrap_pm_pi, trace_path, wrap_position
 from .torus import TWO_PI, LocusId, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
-#: with denominator up to this bound, when within FLOAT_TOL radians.
+#: with denominator up to this bound, when within FLOAT_TOL radians (inputs only).
 MAX_SNAP_DENOMINATOR = 360
 FLOAT_TOL = 1e-9
 
@@ -46,10 +46,6 @@ def _fmt_float(x: float) -> str:
 
 def _fmt_angle(a: Angle) -> str:
     return str(a) if isinstance(a, PiRational) else _fmt_float(a)
-
-
-def _fmt_point(p: TorusPoint) -> str:
-    return f"({p.xi1}, {p.xi2})"
 
 
 def parse_angle(text: str, mode: str) -> Angle:
@@ -122,7 +118,11 @@ def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, m
 
 
 def _circle_eq(a: float, b: float) -> bool:
-    return abs(_wrap_pm_pi(a - b)) <= FLOAT_TOL
+    return abs(_wrap_pm_pi(a - b)) <= REFINE_TOL
+
+
+def _orientation_name(sign: int) -> str:
+    return {1: "positive", -1: "negative", 0: "zero"}[sign]
 
 
 def float_sheet(alpha: float, beta: float, gamma: float) -> str:
@@ -141,16 +141,18 @@ def float_sheet(alpha: float, beta: float, gamma: float) -> str:
 
 
 def classify_float(alpha: float, beta: float, gamma: float) -> Report:
-    """Tolerance-based classification for angles that are not exact p/q*pi."""
-    sheet = float_sheet(alpha, beta, gamma)
-    xi = wrap_position((2.0 * beta, -2.0 * alpha))
-    flags = type_flags((abs(alpha), abs(beta), abs(gamma)), _circle_eq, 0.0, math.pi / 2)
-    if flags.degenerate:
-        orient = "zero"
-    else:
-        orient = "positive" if sheet == "plus" else "negative"
+    """Classify angles that are not exact p/q*pi at their torus point rho(alpha, beta).
 
-    loci = [locus for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= FLOAT_TOL]
+    gamma only closes the sum.  Doubled, the angles on the sheet s are torus coordinates,
+    so within REFINE_TOL an apex at v is on I_v, a right angle on R_v and a zero on D_v.
+    """
+    sheet = float_sheet(alpha, beta, gamma)
+    s = 1.0 if sheet == "plus" else -1.0
+    xi = wrap_position((2.0 * beta, -2.0 * alpha))
+    doubled = (2.0 * s * alpha, 2.0 * s * beta, 2.0 * (math.pi - s * (alpha + beta)))
+    flags = type_flags(doubled, _circle_eq, 0.0, math.pi)
+
+    loci = [locus for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= REFINE_TOL]
     if LocusId.I_A in loci and LocusId.I_C in loci:
         loci.append(LocusId.EQUILATERAL3)
 
@@ -162,8 +164,9 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
 
     return _type_report(
         "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
-        [_fmt_float(c) for c in xi], orient, flags, [locus.value for locus in loci],
-        12 // len(images), f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
+        [_fmt_float(c) for c in xi], _orientation_name(pathtrace.orientation_sign(xi)), flags,
+        [locus.value for locus in loci], 12 // len(images),
+        f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
     )
 
 
@@ -190,7 +193,7 @@ def cmd_classify(args) -> int:
         "exact", triple.sheet.value, [_fmt_angle(a) for a in triple.angles],
         [_fmt_angle(info.point.xi1), _fmt_angle(info.point.xi2)], info.orientation.value,
         info.flags, [l.value for l in info.loci], info.multiplicity,
-        _fmt_point(info.canonical_rep),
+        str(info.canonical_rep),
     )
     report.emit(args.json)
     return 0
@@ -215,7 +218,7 @@ def cmd_invert(args) -> int:
     p = TorusPoint(parse_pi_rational(args.xi1), parse_pi_rational(args.xi2))
     preimages = torus.rho_preimages(p)
     report = Report()
-    report.add("point", _fmt_point(p))
+    report.add("point", str(p))
     report.add("count", len(preimages))
     for i, t in enumerate(preimages, start=1):
         report.add(f"preimage.{i}", f"{t} sheet={t.sheet.value}")
@@ -227,12 +230,12 @@ def cmd_orbit(args) -> int:
     p = TorusPoint(parse_pi_rational(args.xi1), parse_pi_rational(args.xi2))
     orb = sorted(symmetry.orbit(p), key=TorusPoint.key)
     report = Report()
-    report.add("point", _fmt_point(p))
+    report.add("point", str(p))
     report.add("orbit_size", len(orb))
     report.add("multiplicity", symmetry.multiplicity(p))
-    report.add("canonical_rep", _fmt_point(symmetry.canonical_rep(p)))
+    report.add("canonical_rep", str(symmetry.canonical_rep(p)))
     for i, q in enumerate(orb, start=1):
-        report.add(f"element.{i}", _fmt_point(q))
+        report.add(f"element.{i}", str(q))
     report.emit(args.json)
     return 0
 
@@ -266,35 +269,28 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _orientation_name(sign: int) -> str:
-    return {1: "positive", -1: "negative", 0: "zero"}[sign]
-
-
 def cmd_path(args) -> int:
-    angles = None
+    rad = None
     try:
         if len(args.start) == 2:
-            start = (
-                parse_pi_rational(args.start[0]).radians,
-                parse_pi_rational(args.start[1]).radians,
-            )
+            start = tuple(parse_pi_rational(c).radians for c in args.start)
         elif len(args.start) == 3:
             angles = _parse_three_angles(args.start, args.format)
-            rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
-            start = wrap_position((2.0 * rad[1], -2.0 * rad[0]))
+            if all(isinstance(a, PiRational) for a in angles):
+                # validated as classify does; exact, so that a start on a locus lies on it
+                p = torus.rho(make_triple(*angles))
+                start = (p.xi1.radians, p.xi2.radians)
+            else:
+                rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
+                start = wrap_position((2.0 * rad[1], -2.0 * rad[0]))
         else:
             raise ParseError("start must be two torus coordinates or three angles")
     except OverflowError:
         raise ParseError("start is too large for a float") from None
     if not all(math.isfinite(c) for c in start):
         raise ParseError("start is too large for a float")
-    if angles is not None:  # a triangle, validated as classify does
-        if all(isinstance(a, PiRational) for a in angles):
-            # from the exact torus point, so that a start on a locus lies on it
-            p = torus.rho(make_triple(*angles))
-            start = (p.xi1.radians, p.xi2.radians)
-        else:
-            float_sheet(*rad)
+    if rad is not None:
+        float_sheet(*rad)  # a triangle, validated as classify does
 
     velocity = (args.velocity[0], args.velocity[1])
     if not all(math.isfinite(v) for v in velocity):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,94 @@ def test_float_classifier_agrees_with_exact_on_the_grid(capsys):
         assert list(floating) == list(exact)
         for key in exact.keys() - coordinates:
             assert floating[key] == exact[key], (ks, sign, key)
+
+
+def _near_locus_triples(seed, count):
+    """Float triangles 1e-10 to 1e-9 rad off an isosceles, right or degenerate one, on
+    either sheet, with the biggest angle moved by up to 1e-9 so the sum is off too.
+
+    An angle within 1e-9 of a grid value snaps to it, so a few sums end up off by more
+    than 1e-9 and the triple is refused."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -9)
+        x = rng.uniform(0.05, math.pi / 2 - 0.05)
+        angles = rng.choice((
+            [math.pi - 2 * x, x + d / 2, x - d / 2],  # isosceles
+            [math.pi / 2 + d, x, math.pi / 2 - x - d],  # right
+            [d, 2 * x, math.pi - 2 * x - d],  # degenerate
+        ))
+        rng.shuffle(angles)
+        angles[angles.index(max(angles))] += rng.uniform(-1e-9, 1e-9)
+        sign = rng.choice((1, -1))
+        out.append(tuple(repr(sign * a) for a in angles))
+    return out
+
+
+_NEAR_LOCUS = _near_locus_triples(9, 400)
+_MOTIVATING = [
+    ("1.1415926535897931", "1.00000000035", "0.99999999965"),  # isosceles flag off I_A
+    ("1.0", "2.141592654389793", "0"),  # a zero angle off D_C
+]
+
+
+def _self_disagreements(d):
+    """The flags of one classify report that its own loci or orientation contradict."""
+    loci = set(d["loci"].split(","))
+
+    def on(kind):
+        return {v for v in "ABC" if f"{kind}_{v}" in loci}
+
+    wrong = []
+    if d["equilateral"] == "false" and set(d["isosceles_vertices"].split(",")) - {"-"} != on("I"):
+        wrong.append("isosceles_vertices")
+    if set(d["right_vertices"].split(",")) - {"-"} != on("R"):
+        wrong.append("right_vertices")
+    if len({d["degenerate"] == "true", bool(on("D")), d["orientation"] == "zero"}) > 1:
+        wrong.append("degenerate")
+    return wrong
+
+
+def test_float_report_agrees_with_its_own_loci(capsys):
+    # each flag is decided at the torus point, within the tolerance of its locus
+    wrong, checked = [], 0
+    for angles in _MOTIVATING + _NEAR_LOCUS:
+        code, out, err = run(capsys, "classify", "--format", "radians", "--", *angles)
+        assert code in (0, 2), err
+        if code == 0:
+            checked += 1
+            wrong += [(angles, flag) for flag in _self_disagreements(lines_to_dict(out))]
+    assert checked > 350
+    assert wrong == []
+
+
+def test_classify_and_path_agree_on_three_float_angles(capsys):
+    # classify's orientation is path's orientation.start; a refused triple is refused alike
+    wrong, checked = [], 0
+    for angles in _MOTIVATING + _NEAR_LOCUS:
+        classify = run(capsys, "classify", "--format", "radians", "--", *angles)
+        path = run(capsys, "path", "--format", "radians", "--velocity", "1", "0", "--steps", "1",
+                   "--", *angles)
+        if classify[0] != 0:
+            assert (path[0], path[2]) == (classify[0], classify[2])
+            continue
+        checked += 1
+        assert path[0] == 0, path[2]
+        orientation = lines_to_dict(classify[1])["orientation"]
+        if orientation != lines_to_dict(path[1])["orientation.start"]:
+            wrong.append(angles)
+    assert checked > 350
+    assert wrong == []
+
+
+def test_classify_and_path_refuse_a_huge_exact_triple_alike(capsys):
+    # the exact start is validated as a triangle before any float is made of it
+    angles = ("1e400", "0", "-1e400")
+    code, out, err = run(capsys, "path", "--velocity", "1", "0", "--steps", "2", "--", *angles)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert run(capsys, "classify", "--", *angles) == (2, "", err)
 
 
 # The CLI fuzz builds each command mostly well formed, then swaps in malformed

@@ -14,11 +14,12 @@ runs ``invert``, ``invert --json`` and ``orbit`` at every torsion point
 2π(k1, k2)/n with n <= 24, and exact ``classify`` on every triple of
 multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
 4,000) seeded ``path`` commands from starts given as two p/q coordinates,
-three exact angles, or decimal coordinates near a p/q point, with integer or
-float velocities and step sizes 0.05, 0.3 and 1.  ``plot`` prints the md5 of
-``plot --samples 300 --seed 3`` with and without ``--anti``.  Run it once on
-each tree, with PYTHONPATH pointing at that tree's ``src``, and compare the
-outputs with ``cmp``.
+three exact angles, decimal coordinates near a p/q point, or three
+``--format degrees|radians`` angles drawn as the classify corpus draws them,
+with integer or float velocities and step sizes 0.05, 0.3 and 1.  ``plot``
+prints the md5 of ``plot --samples 300 --seed 3`` with and without
+``--anti``.  Run it once on each tree, with PYTHONPATH pointing at that
+tree's ``src``, and compare the outputs with ``cmp``.
 """
 
 from __future__ import annotations
@@ -70,15 +71,21 @@ def _triple(rng: random.Random) -> list[float]:
     return angles
 
 
+def _float_triple(rng: random.Random) -> tuple[str, list[str]]:
+    """A ``--format`` mode and a ``_triple`` written in it."""
+    mode = rng.choice(("degrees", "radians"))
+    angles = _triple(rng)
+    if mode == "degrees":
+        angles = [math.degrees(a) for a in angles]
+    return mode, [repr(a) for a in angles]
+
+
 def classify_corpus(n: int, seed: int = 6) -> None:
     rng = random.Random(seed)
     for _ in range(n):
-        mode = rng.choice(("degrees", "radians"))
-        angles = _triple(rng)
-        if mode == "degrees":
-            angles = [math.degrees(a) for a in angles]
+        mode, angles = _float_triple(rng)
         _run(["classify", "--format", mode, *(["--json"] if rng.random() < 0.1 else []),
-              "--", *(repr(a) for a in angles)])
+              "--", *angles])
 
 
 def exact_corpus() -> None:
@@ -95,22 +102,25 @@ def exact_corpus() -> None:
 
 
 def _path_start(rng: random.Random) -> list[str]:
+    """The start of a path command: its options, "--" and the start itself."""
     n = rng.choice((1, 2, 3, 4, 6, 8, 12, 24, rng.randint(1, 60)))
-    kind = rng.randrange(3)
+    kind = rng.randrange(4)
     if kind == 0:  # a torsion point as two p/q coordinates
-        return [str(Fraction(2 * rng.randrange(n), n)) for _ in range(2)]
+        return ["--", *(str(Fraction(2 * rng.randrange(n), n)) for _ in range(2))]
     if kind == 1:  # three exact angles, on either sheet, a few of them invalid
         k1 = rng.randint(0, n)
         k2 = rng.randint(0, n - k1)
         ks = [k1, k2, n - k1 - k2 + (rng.random() < 0.05)]
         sign = rng.choice((1, -1))
-        return [str(Fraction(sign * k, n)) for k in rng.sample(ks, 3)]
-    # decimal coordinates within 1e-12 to 1e-3 (or exactly 0) of a torsion point
-    coords = []
-    for _ in range(2):
-        d = rng.choice((0.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -3)))
-        coords.append(repr(2 * rng.randrange(n) / n + d))
-    return coords
+        return ["--", *(str(Fraction(sign * k, n)) for k in rng.sample(ks, 3))]
+    if kind == 2:  # decimal coordinates within 1e-12 to 1e-3 (or exactly 0) of a torsion point
+        coords = []
+        for _ in range(2):
+            d = rng.choice((0.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -3)))
+            coords.append(repr(2 * rng.randrange(n) / n + d))
+        return ["--", *coords]
+    mode, angles = _float_triple(rng)  # three float angles, as the classify corpus draws them
+    return ["--format", mode, "--", *angles]
 
 
 def path_corpus(n: int, seed: int = 8) -> None:
@@ -122,7 +132,7 @@ def path_corpus(n: int, seed: int = 8) -> None:
             velocity = [repr(rng.uniform(-3, 3)) for _ in range(2)]
         step_size = rng.choice(("0.05", "0.3", "1"))
         _run(["path", "--velocity", *velocity, "--steps", str(rng.randint(1, 40)),
-              "--step-size", step_size, "--", *_path_start(rng)])
+              "--step-size", step_size, *_path_start(rng)])
 
 
 def _run(argv: list[str]) -> None:
