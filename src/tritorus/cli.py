@@ -165,7 +165,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     return _type_report(
         "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
         [_fmt_float(c) for c in xi], _orientation_name(pathtrace.orientation_sign(xi)), flags,
-        [locus.value for locus in loci], 12 // len(images),
+        [locus.value for locus in loci], symmetry.multiplicity_on(loci),
         f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
     )
 

@@ -5,7 +5,9 @@ angle triples (the sheets alpha+beta+gamma = +-pi); in relative-argument
 coordinates this metric has quadratic form
 ds^2 = (dxi1^2 + dxi2^2 - dxi1*dxi2) / 2.  Uniform sampling of (xi1, xi2)
 on [0, 2*pi)^2 realizes the uniform law because the chart is affine with
-constant Jacobian.
+constant Jacobian.  On either sheet a sample's doubled |angles| are m, 2*pi - M and
+M - m for its sorted coordinates m <= M: degenerate when the least is <= BOUNDARY_TOL,
+else obtuse (acute) when the biggest is over (under) pi by more than 2*BOUNDARY_TOL.
 """
 
 from __future__ import annotations
@@ -151,20 +153,12 @@ def _region_masks(xi: np.ndarray) -> dict[Region, np.ndarray]:
 
     xi1, xi2 = xi[:, 0], xi[:, 1]
     diff = xi2 - xi1
-    degenerate = (
-        (np.abs(diff) <= BOUNDARY_TOL)
-        | (np.minimum(xi1, TWO_PI - xi1) <= BOUNDARY_TOL)
-        | (np.minimum(xi2, TWO_PI - xi2) <= BOUNDARY_TOL)
-    )
-    # |interior angles| of the preimage triangle, on the sheet given by the orientation
-    pos = xi2 > xi1
-    a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
-    b = np.where(pos, xi1 / 2.0, math.pi - xi1 / 2.0)
-    g = np.abs(diff) / 2.0
-    biggest = np.maximum(np.maximum(a, b), g)
+    low, top, span = np.minimum(xi1, xi2), TWO_PI - np.maximum(xi1, xi2), np.abs(diff)
+    nondegenerate = np.minimum(np.minimum(low, top), span) > BOUNDARY_TOL
+    biggest = np.maximum(np.maximum(low, top), span)
     return {
-        Region.OBTUSE: ~degenerate & (biggest > math.pi / 2.0 + BOUNDARY_TOL),
-        Region.ACUTE: ~degenerate & (biggest < math.pi / 2.0 - BOUNDARY_TOL),
+        Region.OBTUSE: nondegenerate & (biggest > math.pi + 2.0 * BOUNDARY_TOL),
+        Region.ACUTE: nondegenerate & (biggest < math.pi - 2.0 * BOUNDARY_TOL),
         Region.POSITIVE_ORIENTATION: diff > BOUNDARY_TOL,
         Region.NEGATIVE_ORIENTATION: diff < -BOUNDARY_TOL,
     }

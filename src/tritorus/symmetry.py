@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .torus import TorusPoint
+from .torus import LocusId, TorusPoint
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -155,6 +155,12 @@ def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
 def multiplicity(p: TorusPoint) -> int:
     """Order of the stabilizer; equals 12 / orbit size."""
     return 12 // len(lattice_orbit(*p.lattice()))
+
+
+def multiplicity_on(loci) -> int:
+    """Stabilizer order of a point on exactly ``loci``: 2 per mirror (I_v or D_v), else 1."""
+    mirrors = {LocusId.D_A, LocusId.D_B, LocusId.D_C, LocusId.I_A, LocusId.I_B, LocusId.I_C}
+    return max(1, 2 * len(mirrors.intersection(loci)))
 
 
 def canonical_rep(p: TorusPoint) -> TorusPoint:

@@ -499,6 +499,20 @@ def test_float_report_agrees_with_its_own_loci(capsys):
     assert wrong == []
 
 
+def test_float_multiplicity_agrees_with_its_own_loci(capsys):
+    # each I_v or D_v locus printed is one reflection that fixes the point
+    off_d_c = ("-0.28712686614925864", "-2.8544657869951493", "2.15786369737457e-10")
+    wrong = []
+    for angles in [off_d_c, *_MOTIVATING, *_NEAR_LOCUS]:
+        code, out, _ = run(capsys, "classify", "--format", "radians", "--", *angles)
+        if code == 0:
+            d = lines_to_dict(out)
+            mirrors = [locus for locus in d["loci"].split(",") if locus[:2] in ("I_", "D_")]
+            if d["multiplicity"] != str(max(1, 2 * len(mirrors))):
+                wrong.append((angles, d["loci"], d["multiplicity"]))
+    assert wrong == []
+
+
 def test_classify_and_path_agree_on_three_float_angles(capsys):
     # classify's orientation is path's orientation.start; a refused triple is refused alike
     wrong, checked = [], 0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tritorus.measure import (
     _CHUNK,
+    _region_masks,
     BOUNDARY_TOL,
     McEstimate,
     Region,
@@ -226,3 +227,60 @@ class TestRegionCounts:
         xi = sample_uniform(SEED, 3 * _CHUNK + 5)
         est = estimate_from_samples(xi, region, SEED)
         assert est.probability == float(region_mask(xi, region).mean())
+
+
+def _halved_angle_masks(xi):
+    """The region rule written per sheet, on the halved |angles| of the preimage triangle."""
+    xi1, xi2 = xi[:, 0], xi[:, 1]
+    diff = xi2 - xi1
+    degenerate = (
+        (np.abs(diff) <= BOUNDARY_TOL)
+        | (np.minimum(xi1, TWO_PI - xi1) <= BOUNDARY_TOL)
+        | (np.minimum(xi2, TWO_PI - xi2) <= BOUNDARY_TOL)
+    )
+    pos = xi2 > xi1
+    a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
+    b = np.where(pos, xi1 / 2.0, math.pi - xi1 / 2.0)
+    biggest = np.maximum(np.maximum(a, b), np.abs(diff) / 2.0)
+    return {
+        Region.OBTUSE: ~degenerate & (biggest > math.pi / 2.0 + BOUNDARY_TOL),
+        Region.ACUTE: ~degenerate & (biggest < math.pi / 2.0 - BOUNDARY_TOL),
+        Region.POSITIVE_ORIENTATION: diff > BOUNDARY_TOL,
+        Region.NEGATIVE_ORIENTATION: diff < -BOUNDARY_TOL,
+    }
+
+
+def _moved(values):
+    """Each value, moved by up to 5 ulp and by 0.5 to 4 tolerances either way."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for direction in (np.inf, -np.inf):
+        step = values
+        for _ in range(5):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    for k in (0.5, 0.75, 1.0, 1.5, 2.0, 4.0):
+        out += [values + k * BOUNDARY_TOL, values - k * BOUNDARY_TOL]
+    return np.concatenate(out)
+
+
+def _adversarial_rows():
+    """Rows on and around every boundary of the regions: a grid of the coordinates 0,
+    pi/2, pi, 3*pi/2 and 2*pi, each moved, and rows near xi2 = xi1 and xi2 = xi1 +- pi."""
+    edges = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, np.nextafter(TWO_PI, 0.0)]
+    coords = _moved(edges)
+    grid = np.stack(np.meshgrid(coords, coords), axis=-1).reshape(-1, 2)
+    x = np.concatenate([np.random.default_rng(SEED).uniform(0.0, TWO_PI, 800), coords])
+    near = [np.stack([np.repeat(x, 23), _moved(x + shift).reshape(23, -1).T.ravel()], axis=1)
+            for shift in (0.0, math.pi, -math.pi)]
+    rows = np.concatenate([grid, *near])
+    return rows[(rows >= 0.0).all(axis=1) & (rows < TWO_PI).all(axis=1)]
+
+
+def test_region_masks_match_the_halved_angle_rule():
+    xi = _adversarial_rows()
+    assert len(xi) > 45_000
+    expect = _halved_angle_masks(xi)
+    got = _region_masks(xi)
+    for region in Region:
+        assert np.array_equal(got[region], expect[region]), region

@@ -18,13 +18,16 @@ from tritorus.symmetry import (
     images,
     lattice_orbit,
     multiplicity,
+    multiplicity_on,
     orbit,
     orientation_preserving_subgroup,
     similar,
     stabilizer,
     word_of,
 )
-from tritorus.torus import OrientationSign, TorusPoint, classify, inverse, orientation, rho
+from tritorus.torus import (
+    LocusId, OrientationSign, TorusPoint, _on_locus, classify, inverse, orientation, rho,
+)
 
 
 def pr(n, d=1):
@@ -177,6 +180,14 @@ class TestOrbitsAndMultiplicity:
     )
     def test_multiplicity_table(self, point, mult):
         assert multiplicity(point) == mult
+
+    def test_multiplicity_is_read_off_the_mirrors(self):
+        # 12 / orbit size is 2 per I_v or D_v locus through the point, or 1 off them all
+        for n in range(1, 61):
+            for k1 in range(n):
+                for k2 in range(n):
+                    loci = [locus for locus in LocusId if _on_locus(k1, k2, n, locus)]
+                    assert multiplicity_on(loci) == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
 
     @given(points)
     def test_orbit_stabilizer(self, p):

@@ -4,6 +4,7 @@
     PYTHONPATH=src python tools/byte_identity.py exact > out.txt
     PYTHONPATH=src python tools/byte_identity.py path [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py plot
+    PYTHONPATH=src python tools/byte_identity.py measure > out.txt
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
 degrees|radians`` commands in process and prints each command with its exit
@@ -18,7 +19,10 @@ three exact angles, decimal coordinates near a p/q point, or three
 ``--format degrees|radians`` angles drawn as the classify corpus draws them,
 with integer or float velocities and step sizes 0.05, 0.3 and 1.  ``plot``
 prints the md5 of ``plot --samples 300 --seed 3`` with and without
-``--anti``.  Run it once on each tree, with PYTHONPATH pointing at that
+``--anti``.  ``measure`` runs ``measure --samples N --seed S`` for N in
+{1, 2, 16383, 16384, 16385, 32771, 400000} (both sides of the scoring chunk
+edges) and S in {1, 9, 42, 123, 777}, and prints the md5 of ``plot --samples
+4000 --anti``.  Run it once on each tree, with PYTHONPATH pointing at that
 tree's ``src``, and compare the outputs with ``cmp``.
 """
 
@@ -144,14 +148,25 @@ def _run(argv: list[str]) -> None:
     print(out.getvalue() + err.getvalue(), end="")
 
 
-def plot_md5() -> None:
+def _plot_md5(args: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for extra in ([], ["--anti"]):
-            path = os.path.join(tmp, "domain.svg")
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["plot", "--out", path, "--samples", "300", "--seed", "3", *extra])
-            with open(path, "rb") as fh:
-                print(hashlib.md5(fh.read()).hexdigest(), "plot --samples 300 --seed 3", *extra)
+        path = os.path.join(tmp, "domain.svg")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["plot", "--out", path, *args])
+        with open(path, "rb") as fh:
+            print(hashlib.md5(fh.read()).hexdigest(), "plot", *args)
+
+
+def plot_md5() -> None:
+    for extra in ([], ["--anti"]):
+        _plot_md5(["--samples", "300", "--seed", "3", *extra])
+
+
+def measure_corpus() -> None:
+    for n in (1, 2, 16383, 16384, 16385, 32771, 400000):
+        for seed in (1, 9, 42, 123, 777):
+            _run(["measure", "--samples", str(n), "--seed", str(seed)])
+    _plot_md5(["--samples", "4000", "--anti"])
 
 
 if __name__ == "__main__":
@@ -163,5 +178,7 @@ if __name__ == "__main__":
         path_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 4000)
     elif sys.argv[1:2] == ["plot"]:
         plot_md5()
+    elif sys.argv[1:2] == ["measure"]:
+        measure_corpus()
     else:
         raise SystemExit(__doc__)
