@@ -1,7 +1,9 @@
 """Exact angle arithmetic and the taxonomy of labeled, oriented triangles.
 
-Angles are rational multiples of pi, stored as exact fractions, so every
-classification decision (equality, sign, comparison with pi/2) is exact.
+Angles are rational multiples of pi, each stored as a pair of ints in lowest
+terms, so every classification decision (equality, sign, comparison with
+pi/2) is exact integer work; ``Fraction`` appears only where an angle is
+parsed from, or handed out as, a coefficient.
 A triangle similarity class lives on one of two sheets: angle sums +pi
 (counterclockwise labeling) or -pi (clockwise labeling).
 """
@@ -38,96 +40,117 @@ _RationalLike = Union[int, Fraction]
 class PiRational:
     """An exact angle (numerator/denominator) * pi.
 
-    Immutable.  Addition, negation, integer scaling, halving and comparison
-    never round: the coefficient of pi is a ``fractions.Fraction``.
+    Immutable.  ``numerator`` and ``denominator`` are plain ints in lowest
+    terms with ``denominator > 0``, so equality is equality of the pair.
+    Addition, negation, integer scaling and comparison are integer
+    cross-products and never round.  ``coeff`` builds the ``Fraction`` on
+    demand; scaling by a ``Fraction``, dividing and hashing go through it.
     """
 
-    __slots__ = ("_coeff",)
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: _RationalLike = 0, denominator: int = 1):
-        object.__setattr__(self, "_coeff", Fraction(numerator, denominator))
+        if type(numerator) is not int or type(denominator) is not int:
+            coeff = Fraction(numerator, denominator)
+            numerator, denominator = coeff.numerator, coeff.denominator
+        elif denominator == 0:
+            raise ZeroDivisionError(f"PiRational({numerator}, 0)")
+        g = math.gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        self.numerator = numerator // g
+        self.denominator = denominator // g
 
     @classmethod
     def from_fraction(cls, coeff: Fraction) -> "PiRational":
-        out = cls.__new__(cls)
-        object.__setattr__(out, "_coeff", Fraction(coeff))
-        return out
+        coeff = Fraction(coeff)
+        return cls(coeff.numerator, coeff.denominator)
 
     @property
     def coeff(self) -> Fraction:
         """Coefficient of pi."""
-        return self._coeff
-
-    @property
-    def numerator(self) -> int:
-        return self._coeff.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self._coeff.denominator
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def radians(self) -> float:
-        return float(self._coeff) * math.pi
+        return self.numerator / self.denominator * math.pi
 
     def is_zero(self) -> bool:
-        return self._coeff == 0
+        return self.numerator == 0
 
     def mod_two_pi(self) -> "PiRational":
         """Canonical residue in [0, 2*pi)."""
-        return PiRational.from_fraction(self._coeff % 2)
+        p, q = self.numerator, self.denominator
+        if 0 <= p < 2 * q:
+            return self
+        return PiRational(p % (2 * q), q)
 
     def __add__(self, other: "PiRational") -> "PiRational":
-        return PiRational.from_fraction(self._coeff + other._coeff)
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        return PiRational(self.numerator * other.denominator + other.numerator * self.denominator,
+                          self.denominator * other.denominator)
 
     def __sub__(self, other: "PiRational") -> "PiRational":
-        return PiRational.from_fraction(self._coeff - other._coeff)
+        if not isinstance(other, PiRational):
+            return NotImplemented
+        return self + -other
 
     def __neg__(self) -> "PiRational":
-        return PiRational.from_fraction(-self._coeff)
+        return PiRational(-self.numerator, self.denominator)
 
     def __abs__(self) -> "PiRational":
-        return PiRational.from_fraction(abs(self._coeff))
+        return self if self.numerator >= 0 else -self
 
     def __mul__(self, k: _RationalLike) -> "PiRational":
-        return PiRational.from_fraction(self._coeff * k)
+        if type(k) is int:
+            return PiRational(self.numerator * k, self.denominator)
+        return PiRational.from_fraction(self.coeff * k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: _RationalLike) -> "PiRational":
-        return PiRational.from_fraction(self._coeff / k)
+        return PiRational.from_fraction(self.coeff / k)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PiRational) and self._coeff == other._coeff
+        return (isinstance(other, PiRational) and self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def _cmp(self, other: "PiRational") -> int:
+        """p1*q2 - p2*q1, of the sign of self - other since both denominators are positive."""
+        if not isinstance(other, PiRational):
+            raise TypeError(f"cannot compare PiRational with {type(other).__name__}")
+        return self.numerator * other.denominator - other.numerator * self.denominator
 
     def __lt__(self, other: "PiRational") -> bool:
-        return self._coeff < other._coeff
+        return self._cmp(other) < 0
 
     def __le__(self, other: "PiRational") -> bool:
-        return self._coeff <= other._coeff
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "PiRational") -> bool:
-        return self._coeff > other._coeff
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "PiRational") -> bool:
-        return self._coeff >= other._coeff
+        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        return hash(("PiRational", self._coeff))
+        return hash(("PiRational", self.coeff))
 
     def __repr__(self) -> str:
         return f"PiRational({self.numerator}, {self.denominator})"
 
     def __str__(self) -> str:
-        if self._coeff == 0:
+        p, q = self.numerator, self.denominator
+        if p == 0:
             return "0"
-        if self._coeff.denominator == 1:
-            if self._coeff.numerator == 1:
+        if q == 1:
+            if p == 1:
                 return "π"
-            if self._coeff.numerator == -1:
+            if p == -1:
                 return "-π"
-            return f"{self._coeff.numerator}·π"
-        return f"{self._coeff.numerator}/{self._coeff.denominator}·π"
+            return f"{p}·π"
+        return f"{p}/{q}·π"
 
 
 ZERO = PiRational(0)
@@ -216,25 +239,32 @@ def make_triple(alpha: PiRational, beta: PiRational, gamma: PiRational) -> Angle
     return AngleTriple(alpha, beta, gamma, sheet)
 
 
+#: The eight subsets of VERTICES, one shared frozenset each; bit i stands for VERTICES[i].
+_VERTEX_SETS = tuple(
+    frozenset(v for i, v in enumerate(VERTICES) if bits >> i & 1) for bits in range(8)
+)
+
+
 def type_flags(absang, eq, zero, half) -> TypeFlags:
     """The flag rule over the absolute angle triple, under the equality ``eq``.
 
     ``zero`` and ``half`` are 0 and pi/2 in the angles' own type.  Equal
     angles at two vertices put the apex at the third; two zero angles
     (a permutation of (+-pi, 0, 0)) or two apexes make the class equilateral.
+    The vertex sets are the shared members of ``_VERTEX_SETS``.
     """
     a, b, c = absang
-    apexes = frozenset(v for v, x, y in (("C", a, b), ("B", a, c), ("A", b, c)) if eq(x, y))
-    zeros = sum(1 for x in absang if eq(x, zero))
-    equilateral = zeros >= 2 or len(apexes) > 1
-    iso = frozenset(VERTICES) if equilateral else apexes
+    apexes = eq(b, c) | eq(a, c) << 1 | eq(a, b) << 2
+    zeros = eq(a, zero) + eq(b, zero) + eq(c, zero)
+    equilateral = zeros >= 2 or apexes & (apexes - 1) != 0  # two or more apex bits
+    iso = 7 if equilateral else apexes
     degenerate = zeros > 0
     biggest = max(absang)
     slanted = not degenerate and not eq(biggest, half)
     return TypeFlags(
         equilateral=equilateral,
-        isosceles_vertices=iso,
-        right_vertices=frozenset(v for v, x in zip(VERTICES, absang) if eq(x, half)),
+        isosceles_vertices=_VERTEX_SETS[iso],
+        right_vertices=_VERTEX_SETS[eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2],
         scalene=not iso,
         degenerate=degenerate,
         obtuse=slanted and biggest > half,

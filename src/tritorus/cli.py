@@ -156,11 +156,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     if LocusId.I_A in loci and LocusId.I_C in loci:
         loci.append(LocusId.EQUILATERAL3)
 
-    images = []
-    for q in symmetry.images(*xi, TWO_PI):
-        if not any(_circle_eq(q[0], r[0]) and _circle_eq(q[1], r[1]) for r in images):
-            images.append(q)
-    rep = min(images)
+    rep = min(symmetry.images(*xi, TWO_PI))
 
     return _type_report(
         "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],

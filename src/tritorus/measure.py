@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .symmetry import multiplicity_on
 from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
 from .angles import DomainError
 
@@ -88,11 +89,13 @@ _SIZE_TOTAL = math.sqrt(3.0) * math.pi**2
 _SIZE_OBTUSE = 3.0 * math.sqrt(3.0) / 4.0 * math.pi**2
 _SIZE_ACUTE = math.sqrt(3.0) / 4.0 * math.pi**2
 
-# Generic-member multiplicities of each family (stabilizer orders).
-MULT_AREA = 1  # generic nondegenerate scalene
-MULT_ISOSCELES = 2
-MULT_RIGHT = 1  # generic right triangle is scalene
-MULT_DEGENERATE = 2  # generic degenerate triangle is scalene
+# Generic-member multiplicities of each family (stabilizer orders), read off the
+# loci a generic member lies on: a nondegenerate scalene on none, an isosceles
+# on one I_v, a right triangle (scalene) on one R_v, a degenerate one on one D_v.
+MULT_AREA = multiplicity_on(())
+MULT_ISOSCELES = multiplicity_on((LocusId.I_A,))
+MULT_RIGHT = multiplicity_on((LocusId.R_A,))
+MULT_DEGENERATE = multiplicity_on((LocusId.D_A,))
 
 
 def analytic_measures() -> MeasureReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .torus import LocusId, TorusPoint
+from .torus import LocusId, TorusPoint, in_locus
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -152,15 +152,18 @@ def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
     return tuple(g for g, q in zip(_ELEMENTS, images(k1, k2, n)) if q == (k1, k2))
 
 
+#: The six mirrors: each is the fixed line of one of the six reflections in D6.
+_MIRRORS = frozenset((LocusId.D_A, LocusId.D_B, LocusId.D_C, LocusId.I_A, LocusId.I_B, LocusId.I_C))
+
+
 def multiplicity(p: TorusPoint) -> int:
     """Order of the stabilizer; equals 12 / orbit size."""
-    return 12 // len(lattice_orbit(*p.lattice()))
+    return multiplicity_on(l for l in LocusId if in_locus(p, l))
 
 
 def multiplicity_on(loci) -> int:
     """Stabilizer order of a point on exactly ``loci``: 2 per mirror (I_v or D_v), else 1."""
-    mirrors = {LocusId.D_A, LocusId.D_B, LocusId.D_C, LocusId.I_A, LocusId.I_B, LocusId.I_C}
-    return max(1, 2 * len(mirrors.intersection(loci)))
+    return max(1, 2 * len(_MIRRORS.intersection(loci)))
 
 
 def canonical_rep(p: TorusPoint) -> TorusPoint:
@@ -169,7 +172,7 @@ def canonical_rep(p: TorusPoint) -> TorusPoint:
     At a fixed n the order of the pairs (k1, k2) is that of ``TorusPoint.key``.
     """
     k1, k2, n = p.lattice()
-    return TorusPoint.from_lattice(*min(lattice_orbit(k1, k2, n)), n)
+    return TorusPoint.from_lattice(*min(images(k1, k2, n)), n)
 
 
 def similar(p: TorusPoint, q: TorusPoint) -> bool:

@@ -203,19 +203,21 @@ class Classification:
 def classify(p: TorusPoint) -> Classification:
     """Full type report; the flags are those of the (shared) preimage class.
 
-    The flag rule reads the plus-first preimage's numerators, in units of pi/(2n).
+    The flag rule reads the plus-first preimage's numerators, in units of pi/(2n);
+    the multiplicity is read off the mirror loci, and the representative is the
+    least of the twelve lattice images.
     """
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
     k1, k2, n = p.lattice()
-    orb = symmetry.lattice_orbit(k1, k2, n)
     flags = type_flags(tuple(2 * abs(m) for m in _fiber(k1, k2, n)[0]), operator.eq, 0, n)
+    loci = tuple(l for l in LocusId if _on_locus(k1, k2, n, l))
     return Classification(
         point=p,
         orientation=orientation(p),
         degenerate=flags.degenerate,
         flags=flags,
-        loci=tuple(l for l in LocusId if _on_locus(k1, k2, n, l)),
-        multiplicity=12 // len(orb),
-        canonical_rep=TorusPoint.from_lattice(*min(orb), n),
+        loci=loci,
+        multiplicity=symmetry.multiplicity_on(loci),
+        canonical_rep=TorusPoint.from_lattice(*min(symmetry.images(k1, k2, n)), n),
     )

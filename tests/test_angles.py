@@ -1,5 +1,6 @@
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from tritorus.angles import (
     HALF_PI,
     PI,
+    VERTICES,
     ZERO,
     NotDegenerate,
     OutOfRange,
@@ -16,6 +18,7 @@ from tritorus.angles import (
     degenerate_similar,
     make_triple,
     taxonomy,
+    type_flags,
 )
 
 
@@ -55,6 +58,126 @@ class TestPiRational:
         assert str(pr(1)) == "π"
         assert str(pr(-1)) == "-π"
         assert str(ZERO) == "0"
+
+
+fractions = st.fractions(max_denominator=200, min_value=-50, max_value=50)
+ints = st.integers(min_value=-1000, max_value=1000)
+
+
+def _as_pair(a):
+    return (a.numerator, a.denominator)
+
+
+def _oracle(f):
+    """What a PiRational of coefficient ``f`` must hold: ``f`` in lowest terms."""
+    return (f.numerator, f.denominator)
+
+
+class TestIntPairAgainstFraction:
+    """The int pair agrees with ``Fraction`` arithmetic on the coefficient of pi."""
+
+    @given(ints, ints.filter(bool))
+    def test_construction_is_lowest_terms(self, p, q):
+        a = PiRational(p, q)
+        assert _as_pair(a) == _oracle(Fraction(p, q))
+        assert a.denominator > 0 and math.gcd(a.numerator, a.denominator) == 1
+        assert type(a.numerator) is int and type(a.denominator) is int
+        assert a.coeff == Fraction(p, q) and type(a.coeff) is Fraction
+
+    @given(fractions, fractions, ints)
+    def test_arithmetic(self, f, g, k):
+        a, b = PiRational.from_fraction(f), PiRational.from_fraction(g)
+        assert _as_pair(a + b) == _oracle(f + g)
+        assert _as_pair(a - b) == _oracle(f - g)
+        assert _as_pair(-a) == _oracle(-f)
+        assert _as_pair(abs(a)) == _oracle(abs(f))
+        assert _as_pair(a * k) == _oracle(f * k)
+        assert _as_pair(k * a) == _oracle(f * k)
+        assert _as_pair(a * g) == _oracle(f * g)
+        if k:
+            assert _as_pair(a / k) == _oracle(f / k)
+        if g:
+            assert _as_pair(a / g) == _oracle(f / g)
+
+    @given(fractions, fractions)
+    def test_comparisons_and_hash(self, f, g):
+        a, b = PiRational.from_fraction(f), PiRational.from_fraction(g)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+            f < g, f <= g, f > g, f >= g, f == g, f != g)
+        assert a == PiRational(f.numerator * 3, f.denominator * 3)
+        assert hash(a) == hash(PiRational(-f.numerator * 2, -f.denominator * 2))
+        assert hash(a) == hash(("PiRational", f))
+
+    @given(fractions)
+    def test_mod_two_pi(self, f):
+        r = PiRational.from_fraction(f).mod_two_pi()
+        assert _as_pair(r) == _oracle(f % 2)
+        assert ZERO <= r < PI * 2
+
+    @given(fractions)
+    def test_str_and_repr(self, f):
+        a = PiRational.from_fraction(f)
+        assert repr(a) == f"PiRational({f.numerator}, {f.denominator})"
+        if f == 0:
+            want = "0"
+        elif f.denominator > 1:
+            want = f"{f.numerator}/{f.denominator}·π"
+        else:
+            want = {1: "π", -1: "-π"}.get(f.numerator, f"{f.numerator}·π")
+        assert str(a) == want
+
+    def test_negative_denominator(self):
+        assert _as_pair(PiRational(3, -6)) == (-1, 2)
+        assert _as_pair(PiRational(-3, -6)) == (1, 2)
+        assert _as_pair(PiRational(0, -7)) == (0, 1)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            PiRational(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            PiRational(0, 0)
+        with pytest.raises(ZeroDivisionError):
+            PiRational(Fraction(1, 2), 0)
+        with pytest.raises(ZeroDivisionError):
+            pr(1, 3) / 0
+
+    def test_other_types_do_not_mix(self):
+        with pytest.raises(TypeError):
+            pr(1, 3) + 1
+        with pytest.raises(TypeError):
+            pr(1, 3) - Fraction(1, 3)
+        with pytest.raises(TypeError):
+            pr(1, 3) < 1
+        assert pr(1) != 1
+
+
+def _old_vertex_sets(absang, eq, zero, half):
+    """The vertex sets as ``type_flags`` built them per call, one new frozenset each."""
+    a, b, c = absang
+    apexes = frozenset(v for v, x, y in (("C", a, b), ("B", a, c), ("A", b, c)) if eq(x, y))
+    zeros = sum(1 for x in absang if eq(x, zero))
+    iso = frozenset(VERTICES) if zeros >= 2 or len(apexes) > 1 else apexes
+    right = frozenset(v for v, x in zip(VERTICES, absang) if eq(x, half))
+    return iso, right
+
+
+def test_type_flags_vertex_sets_are_shared_and_unchanged():
+    """Every pattern of equal pairs, zeros and right angles gives the old sets, shared."""
+    seen = {}
+    for pairs, zeros, halves in product(product((False, True), repeat=3), repeat=3):
+        equal = {frozenset(p) for p, on in zip(("ab", "ac", "bc"), pairs) if on}
+        equal |= {frozenset((x, "0")) for x, on in zip("abc", zeros) if on}
+        equal |= {frozenset((x, "h")) for x, on in zip("abc", halves) if on}
+
+        def eq(x, y):
+            return x == y or frozenset((x, y)) in equal
+
+        flags = type_flags(("a", "b", "c"), eq, "0", "h")
+        got = (flags.isosceles_vertices, flags.right_vertices)
+        assert got == _old_vertex_sets(("a", "b", "c"), eq, "0", "h")
+        for s in got:
+            assert seen.setdefault(s, s) is s
+    assert len(seen) == 8
 
 
 class TestMakeTriple:

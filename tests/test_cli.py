@@ -513,6 +513,16 @@ def test_float_multiplicity_agrees_with_its_own_loci(capsys):
     assert wrong == []
 
 
+def test_float_canonical_rep_is_the_least_image(capsys):
+    # on I_A two images lie 1e-10 apart; the rep is the least of all twelve, not of a deduped few
+    code, out, _ = run(capsys, "classify", "--format", "radians", "--",
+                       "2.820483237224782", "0.16055470819685166", "0.160554708832617")
+    assert code == 0
+    d = lines_to_dict(out)
+    assert (d["loci"], d["multiplicity"]) == ("I_A", "2")
+    assert d["canonical_rep"] == "(0.321109416336, 0.64221883273)"
+
+
 def test_classify_and_path_agree_on_three_float_angles(capsys):
     # classify's orientation is path's orientation.start; a refused triple is refused alike
     wrong, checked = [], 0

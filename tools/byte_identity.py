@@ -5,6 +5,7 @@
     PYTHONPATH=src python tools/byte_identity.py path [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py plot
     PYTHONPATH=src python tools/byte_identity.py measure > out.txt
+    PYTHONPATH=src python tools/byte_identity.py arith > out.txt
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
 degrees|radians`` commands in process and prints each command with its exit
@@ -22,8 +23,13 @@ prints the md5 of ``plot --samples 300 --seed 3`` with and without
 ``--anti``.  ``measure`` runs ``measure --samples N --seed S`` for N in
 {1, 2, 16383, 16384, 16385, 32771, 400000} (both sides of the scoring chunk
 edges) and S in {1, 9, 42, 123, 777}, and prints the md5 of ``plot --samples
-4000 --anti``.  Run it once on each tree, with PYTHONPATH pointing at that
-tree's ``src``, and compare the outputs with ``cmp``.
+4000 --anti``.  ``arith`` prints, for every ``PiRational(p, q)`` on a grid of
+denominators up to 60 and numerators from -2q-1 to 2q+1 in steps of
+max(1, q // 5) (not all in lowest terms), its ``str``, ``repr``, ``coeff``,
+``radians``, ``mod_two_pi()``, negation, ``abs``, ``* 3``,
+``* Fraction(-3, 4)`` and ``/ 2``, and for every pair of grid angles their
+sum, difference and comparisons.  Run it once on each tree, with PYTHONPATH
+pointing at that tree's ``src``, and compare the outputs with ``cmp``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import tempfile
 from fractions import Fraction
 
 from tritorus import cli
+from tritorus.angles import PiRational
 
 EXACT_MAX_ORDER = 24
 
@@ -169,6 +176,21 @@ def measure_corpus() -> None:
     _plot_md5(["--samples", "4000", "--anti"])
 
 
+ARITH_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 24, 30, 59, 60)
+
+
+def arith_corpus() -> None:
+    grid = [PiRational(p, q) for q in ARITH_DENOMINATORS
+            for p in range(-2 * q - 1, 2 * q + 2, max(1, q // 5))]
+    for x in grid:
+        print(repr(x), x, x.coeff, repr(x.radians), repr(x.mod_two_pi()), repr(-x), repr(abs(x)),
+              repr(x * 3), repr(x * Fraction(-3, 4)), repr(x / 2))
+    for x in grid:
+        for y in grid:
+            print(repr(x), repr(y), repr(x + y), repr(x - y),
+                  x < y, x <= y, x > y, x >= y, x == y)
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["classify"]:
         classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
@@ -180,5 +202,7 @@ if __name__ == "__main__":
         plot_md5()
     elif sys.argv[1:2] == ["measure"]:
         measure_corpus()
+    elif sys.argv[1:2] == ["arith"]:
+        arith_corpus()
     else:
         raise SystemExit(__doc__)
