@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class DomainError(ValueError):
@@ -166,8 +165,7 @@ class Sheet(Enum):
 VERTICES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class AngleTriple:
+class AngleTriple(NamedTuple):
     """Interior angles of a labeled, oriented triangle similarity class.
 
     On the plus sheet angles lie in [0, pi] and sum to pi; on the minus
@@ -195,8 +193,7 @@ class AngleTriple:
         return f"△[{self.alpha}, {self.beta}, {self.gamma}]"
 
 
-@dataclass(frozen=True, slots=True)
-class TypeFlags:
+class TypeFlags(NamedTuple):
     """Type report for one triangle similarity class.
 
     ``isosceles_vertices`` holds apex vertices: the apex is the vertex at

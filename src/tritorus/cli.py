@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -141,15 +140,16 @@ def float_sheet(alpha: float, beta: float, gamma: float) -> str:
 
 
 def classify_float(alpha: float, beta: float, gamma: float) -> Report:
-    """Classify angles that are not exact p/q*pi at their torus point rho(alpha, beta).
+    """Classify angles that are not exact p/q*pi at their torus point xi = rho(alpha, beta).
 
-    gamma only closes the sum.  Doubled, the angles on the sheet s are torus coordinates,
-    so within REFINE_TOL an apex at v is on I_v, a right angle on R_v and a zero on D_v.
+    gamma is only checked.  The doubled |angles| are read off xi = (x, y): (2*pi - y, x,
+    y - x) when y > x, else (y, 2*pi - x, x - y).  So within REFINE_TOL an apex at v is
+    on I_v, a right angle on R_v and a zero on D_v.
     """
     sheet = float_sheet(alpha, beta, gamma)
-    s = 1.0 if sheet == "plus" else -1.0
     xi = wrap_position((2.0 * beta, -2.0 * alpha))
-    doubled = (2.0 * s * alpha, 2.0 * s * beta, 2.0 * (math.pi - s * (alpha + beta)))
+    x, y = xi
+    doubled = (TWO_PI - y, x, y - x) if y > x else (y, TWO_PI - x, x - y)
     flags = type_flags(doubled, _circle_eq, 0.0, math.pi)
 
     loci = [locus for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= REFINE_TOL]
@@ -245,7 +245,7 @@ def _check_sampling(args) -> None:
 
 def cmd_measure(args) -> int:
     _check_sampling(args)
-    analytic = dataclasses.asdict(measure_mod.analytic_measures())
+    analytic = measure_mod.analytic_measures()._asdict()
     ratios = analytic.pop("ratios")
     report = Report()
     for key, value in analytic.items():

@@ -13,9 +13,8 @@ else obtuse (acute) when the biggest is over (under) pi by more than 2*BOUNDARY_
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .symmetry import multiplicity_on
 from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
@@ -46,8 +45,7 @@ class Region(Enum):
     NEGATIVE_ORIENTATION = "negative_orientation"
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Closed-form relative measures.
 
     Area entries (total, obtuse, acute) are in radians^2; curve entries
@@ -66,8 +64,7 @@ class MeasureReport:
     ratios: dict[str, float]
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     probability: float
     standard_error: float
     samples: int

@@ -8,9 +8,8 @@ for each integer k.  Crossings of the degenerate loci D_A/D_B/D_C flip orientati
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .angles import DomainError
 from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
@@ -34,8 +33,7 @@ class EventKind(Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class PathEvent:
+class PathEvent(NamedTuple):
     step_index: int
     kind: EventKind
     locus: Optional[LocusId]

@@ -9,7 +9,7 @@ unoriented) similarity classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .torus import LocusId, TorusPoint, in_locus
 
@@ -46,14 +46,15 @@ def _perm_matrix(perm: Perm) -> tuple[tuple[int, int], tuple[int, int]]:
 _PERM_MATS = {perm: _perm_matrix(perm) for perm in _PERM_NAMES}
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    sign: int  # +1 or -1
-    perm: Perm
+class GroupElement(NamedTuple("GroupElement", [("sign", int), ("perm", Perm)])):
+    """A signed permutation: ``sign`` is +1 or -1, ``perm`` the images of (1, 2, 3)."""
 
-    def __post_init__(self):
-        if self.sign not in (1, -1) or self.perm not in _PERM_MATS:
-            raise ValueError(f"not a signed permutation: {self.sign}, {self.perm}")
+    __slots__ = ()
+
+    def __new__(cls, sign: int, perm: Perm):
+        if sign not in (1, -1) or perm not in _PERM_MATS:
+            raise ValueError(f"not a signed permutation: {sign}, {perm}")
+        return super().__new__(cls, sign, perm)
 
     def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
         m = _PERM_MATS[self.perm]
@@ -70,8 +71,7 @@ class GroupElement:
         return prefix + _PERM_NAMES[self.perm]
 
 
-@dataclass(frozen=True)
-class D6Word:
+class D6Word(NamedTuple):
     """Normal form r^a s^b in the dihedral presentation, a in 0..5."""
 
     r_power: int

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .angles import ZERO, AngleTriple, PiRational, Sheet, TypeFlags, type_flags
 
@@ -60,16 +60,13 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, slots=True)
-class TorusPoint:
+class TorusPoint(NamedTuple("TorusPoint", [("xi1", PiRational), ("xi2", PiRational)])):
     """A point of the torus, coordinates canonically reduced mod 2*pi."""
 
-    xi1: PiRational
-    xi2: PiRational
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi1", self.xi1.mod_two_pi())
-        object.__setattr__(self, "xi2", self.xi2.mod_two_pi())
+    def __new__(cls, xi1: PiRational, xi2: PiRational):
+        return super().__new__(cls, xi1.mod_two_pi(), xi2.mod_two_pi())
 
     def is_degenerate(self) -> bool:
         return self.xi1.is_zero() or self.xi2.is_zero() or self.xi1 == self.xi2
@@ -183,17 +180,19 @@ def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     return _on_locus(*p.lattice(), locus)
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     """Everything knowable about one torus point."""
 
     point: TorusPoint
     orientation: OrientationSign
-    degenerate: bool
     flags: TypeFlags
     loci: tuple[LocusId, ...]
     multiplicity: int
     canonical_rep: TorusPoint
+
+    @property
+    def degenerate(self) -> bool:
+        return self.flags.degenerate
 
     @property
     def preimages(self) -> tuple[AngleTriple, ...]:
@@ -215,7 +214,6 @@ def classify(p: TorusPoint) -> Classification:
     return Classification(
         point=p,
         orientation=orientation(p),
-        degenerate=flags.degenerate,
         flags=flags,
         loci=loci,
         multiplicity=symmetry.multiplicity_on(loci),

@@ -393,3 +393,37 @@ class TestProjectRelative:
         th = [PiRational.from_fraction(x) for x in (a, b, c)]
         sh = PiRational.from_fraction(s)
         assert project_relative(*th) == project_relative(*(x + sh for x in th))
+
+
+def test_value_types_are_immutable_values():
+    from tritorus.measure import McEstimate, analytic_measures
+    from tritorus.pathtrace import trace_path
+    from tritorus.symmetry import ROTATION, GroupElement, word_of
+
+    triple = make_triple(pr(1, 2), pr(1, 4), pr(1, 4))
+    p = rho(triple)
+    values = [
+        (triple, "alpha"),
+        (taxonomy(triple), "equilateral"),
+        (p, "xi1"),
+        (classify(p), "point"),
+        (ROTATION, "sign"),
+        (word_of(ROTATION), "r_power"),
+        (analytic_measures(), "total"),
+        (McEstimate.from_count(1, 4, 0), "probability"),
+        (trace_path((0.1, 0.2), (1.0, 0.0), 2, 0.1)[0], "step_index"),
+    ]
+    assert len({type(v) for v, _ in values}) == 9
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+    with pytest.raises(ValueError):
+        GroupElement(2, (1, 2, 3))
+    with pytest.raises(ValueError):
+        GroupElement(1, (1, 1, 2))
+
+    wound = TorusPoint(pr(5), pr(-1, 2))
+    reduced = TorusPoint(pr(1), pr(3, 2))
+    assert wound == reduced
+    assert hash(wound) == hash(reduced)
