@@ -10,6 +10,7 @@ A triangle similarity class lives on one of two sheets: angle sums +pi
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from enum import Enum
@@ -248,7 +249,7 @@ def type_flags(absang, eq, zero, half) -> TypeFlags:
     ``zero`` and ``half`` are 0 and pi/2 in the angles' own type.  Equal
     angles at two vertices put the apex at the third; two zero angles
     (a permutation of (+-pi, 0, 0)) or two apexes make the class equilateral.
-    The vertex sets are the shared members of ``_VERTEX_SETS``.
+    Equal patterns share one TypeFlags, whose vertex sets are members of ``_VERTEX_SETS``.
     """
     a, b, c = absang
     apexes = eq(b, c) | eq(a, c) << 1 | eq(a, b) << 2
@@ -258,15 +259,15 @@ def type_flags(absang, eq, zero, half) -> TypeFlags:
     degenerate = zeros > 0
     biggest = max(absang)
     slanted = not degenerate and not eq(biggest, half)
-    return TypeFlags(
-        equilateral=equilateral,
-        isosceles_vertices=_VERTEX_SETS[iso],
-        right_vertices=_VERTEX_SETS[eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2],
-        scalene=not iso,
-        degenerate=degenerate,
-        obtuse=slanted and biggest > half,
-        acute=slanted and biggest < half,
-    )
+    return _flags(equilateral, iso, eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2,
+                  degenerate, slanted and biggest > half, slanted and biggest < half)
+
+
+@functools.cache
+def _flags(equilateral, iso, right, degenerate, obtuse, acute) -> TypeFlags:
+    """The one shared TypeFlags of a pattern; bit i of ``iso`` and ``right`` is VERTICES[i]."""
+    return TypeFlags(equilateral, _VERTEX_SETS[iso], _VERTEX_SETS[right], not iso, degenerate,
+                     obtuse, acute)
 
 
 def taxonomy(t: AngleTriple) -> TypeFlags:

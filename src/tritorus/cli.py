@@ -17,9 +17,9 @@ from typing import Optional, Sequence, Union
 
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
-from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple, type_flags
-from .pathtrace import REFINE_TOL, EventKind, _wrap_pm_pi, trace_path, wrap_position
-from .torus import TWO_PI, LocusId, TorusPoint
+from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple
+from .pathtrace import REFINE_TOL, EventKind, trace_path, wrap_position
+from .torus import TWO_PI, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
 #: with denominator up to this bound, when within FLOAT_TOL radians (inputs only).
@@ -116,10 +116,6 @@ def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, m
     return report
 
 
-def _circle_eq(a: float, b: float) -> bool:
-    return abs(_wrap_pm_pi(a - b)) <= REFINE_TOL
-
-
 def _orientation_name(sign: int) -> str:
     return {1: "positive", -1: "negative", 0: "zero"}[sign]
 
@@ -142,25 +138,16 @@ def float_sheet(alpha: float, beta: float, gamma: float) -> str:
 def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     """Classify angles that are not exact p/q*pi at their torus point xi = rho(alpha, beta).
 
-    gamma is only checked.  The doubled |angles| are read off xi = (x, y): (2*pi - y, x,
-    y - x) when y > x, else (y, 2*pi - x, x - y).  So within REFINE_TOL an apex at v is
-    on I_v, a right angle on R_v and a zero on D_v.
+    gamma is only checked.  Orientation, flags and loci are ``torus.point_facts`` at xi
+    within REFINE_TOL, the rule that exact ``classify`` and ``path`` read too.
     """
     sheet = float_sheet(alpha, beta, gamma)
     xi = wrap_position((2.0 * beta, -2.0 * alpha))
-    x, y = xi
-    doubled = (TWO_PI - y, x, y - x) if y > x else (y, TWO_PI - x, x - y)
-    flags = type_flags(doubled, _circle_eq, 0.0, math.pi)
-
-    loci = [locus for locus in pathtrace.LOCUS_FORMS if pathtrace.residue(locus, xi) <= REFINE_TOL]
-    if LocusId.I_A in loci and LocusId.I_C in loci:
-        loci.append(LocusId.EQUILATERAL3)
-
+    sign, flags, loci = torus.point_facts(*xi, math.pi, REFINE_TOL)
     rep = min(symmetry.images(*xi, TWO_PI))
-
     return _type_report(
         "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
-        [_fmt_float(c) for c in xi], _orientation_name(pathtrace.orientation_sign(xi)), flags,
+        [_fmt_float(c) for c in xi], _orientation_name(sign), flags,
         [locus.value for locus in loci], symmetry.multiplicity_on(loci),
         f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
     )
@@ -313,16 +300,10 @@ def cmd_path(args) -> int:
             # probe where the crossed locus's residue is 1e-6, whatever the angle of the path
             a, b, _ = pathtrace.LOCUS_FORMS[ev.locus]
             eps = 1e-6 / abs(a * velocity[0] + b * velocity[1])
-            before = (
-                ev.refined_position[0] - eps * velocity[0],
-                ev.refined_position[1] - eps * velocity[1],
-            )
-            after = (
-                ev.refined_position[0] + eps * velocity[0],
-                ev.refined_position[1] + eps * velocity[1],
-            )
-            fields.append(f"orientation_before={_orientation_name(pathtrace.orientation_sign(before))}")
-            fields.append(f"orientation_after={_orientation_name(pathtrace.orientation_sign(after))}")
+            x, y = ev.refined_position
+            for side, t in (("before", -eps), ("after", eps)):
+                sign = pathtrace.orientation_sign((x + t * velocity[0], y + t * velocity[1]))
+                fields.append(f"orientation_{side}={_orientation_name(sign)}")
         report.add(f"event.{i}", " ".join(fields))
     report.emit(args.json)
     return 0

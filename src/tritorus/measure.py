@@ -6,8 +6,10 @@ coordinates this metric has quadratic form
 ds^2 = (dxi1^2 + dxi2^2 - dxi1*dxi2) / 2.  Uniform sampling of (xi1, xi2)
 on [0, 2*pi)^2 realizes the uniform law because the chart is affine with
 constant Jacobian.  On either sheet a sample's doubled |angles| are m, 2*pi - M and
-M - m for its sorted coordinates m <= M: degenerate when the least is <= BOUNDARY_TOL,
-else obtuse (acute) when the biggest is over (under) pi by more than 2*BOUNDARY_TOL.
+M - m for its sorted coordinates m <= M (``torus.doubled_angles``): degenerate when the
+least is <= BOUNDARY_TOL, else obtuse (acute) when the biggest is over (under) pi by more
+than 2*BOUNDARY_TOL.  BOUNDARY_TOL is not the classifier's REFINE_TOL: the md5 pins of
+``measure`` and ``plot`` and the halved-angle oracle test fix it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .symmetry import multiplicity_on
-from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
+from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId, doubled_angles
 from .angles import DomainError
 
 if TYPE_CHECKING:
@@ -153,7 +155,7 @@ def _region_masks(xi: np.ndarray) -> dict[Region, np.ndarray]:
 
     xi1, xi2 = xi[:, 0], xi[:, 1]
     diff = xi2 - xi1
-    low, top, span = np.minimum(xi1, xi2), TWO_PI - np.maximum(xi1, xi2), np.abs(diff)
+    low, top, span = doubled_angles(np.minimum(xi1, xi2), np.maximum(xi1, xi2), TWO_PI)
     nondegenerate = np.minimum(np.minimum(low, top), span) > BOUNDARY_TOL
     biggest = np.maximum(np.maximum(low, top), span)
     return {

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .angles import DomainError
-from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
+from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId, point_facts
 
 #: Residue magnitude below which a crossing is accepted.
 REFINE_TOL = 1e-9
@@ -64,14 +64,8 @@ def residue(locus: LocusId, xi: tuple[float, float]) -> float:
 
 
 def orientation_sign(xi: tuple[float, float]) -> int:
-    """Orientation of a float point: 0 within REFINE_TOL of D_A, D_B or D_C.
-
-    Otherwise +1 where xi2 > xi1 in [0, 2*pi)^2 and -1 elsewhere, as in ``torus.orientation``.
-    """
-    if any(residue(locus, xi) <= REFINE_TOL for locus in _DEGENERATE_LOCI):
-        return 0
-    x, y = wrap_position(xi)
-    return 1 if y > x else -1
+    """``torus.point_facts``'s sign at xi mod 2*pi: 0 within REFINE_TOL of D_A, D_B, D_C."""
+    return point_facts(*wrap_position(xi), math.pi, REFINE_TOL)[0]
 
 
 def trace_path(

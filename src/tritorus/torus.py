@@ -10,7 +10,6 @@ degenerate borders together.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -123,12 +122,45 @@ def rho(t: AngleTriple) -> TorusPoint:
     return TorusPoint(t.beta * 2, t.alpha * -2)
 
 
+def doubled_angles(low, high, period):
+    """Doubled |angles| of a point with sorted coordinates low <= high, at the vertices
+    (A, B, C) when xi2 <= xi1 and (B, A, C) when xi2 > xi1; ``period`` is 2*pi in their units."""
+    return low, period - high, high - low
+
+
+def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
+    """Orientation sign, type flags and loci of (x, y) in [0, 2*half)^2, in units where pi is half.
+
+    A lattice point 2*pi*(k1, k2)/n passes (2*k1, 2*k2, n, 0), all ints, and a float point
+    (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when they agree mod 2*half within
+    ``tol``, and a point is on a locus when its equation holds so; the sign is 0 when
+    degenerate, else that of y - x.
+    """
+    period = 2 * half
+
+    def eq(u, v):
+        return abs((u - v + half) % period - half) <= tol
+
+    a, b, c = doubled_angles(min(x, y), max(x, y), period)
+    flags = type_flags((b, a, c) if y > x else (a, b, c), eq, 0, half)
+    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items() if eq(p * x + q * y, h * half)]
+    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
+        loci.append(LocusId.EQUILATERAL3)
+    sign = 0 if flags.degenerate else 1 if y > x else -1
+    return sign, flags, tuple(loci)
+
+
+def _lattice_facts(p: TorusPoint):
+    k1, k2, n = p.lattice()
+    return point_facts(2 * k1, 2 * k2, n, 0)
+
+
+#: ``OrientationSign`` by the sign that ``point_facts`` returns.
+_SIGNS = (OrientationSign.ZERO, OrientationSign.POSITIVE, OrientationSign.NEGATIVE)
+
+
 def orientation(p: TorusPoint) -> OrientationSign:
-    if p.is_degenerate():
-        return OrientationSign.ZERO
-    if p.xi2 > p.xi1:
-        return OrientationSign.POSITIVE
-    return OrientationSign.NEGATIVE
+    return _SIGNS[_lattice_facts(p)[0]]
 
 
 def _lifts(k: int, n: int) -> tuple[int, ...]:
@@ -167,17 +199,9 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
     )
 
 
-def _on_locus(k1: int, k2: int, n: int, locus: LocusId) -> bool:
-    if locus is LocusId.EQUILATERAL3:  # the three points I_A and I_C share
-        return _on_locus(k1, k2, n, LocusId.I_A) and _on_locus(k1, k2, n, LocusId.I_C)
-    a, b, h = LOCUS_EQUATIONS[locus]
-    # 2*pi*(a*k1 + b*k2)/n = h*pi (mod 2*pi), doubled to stay integral for odd n
-    return (2 * (a * k1 + b * k2) - h * n) % (2 * n) == 0
-
-
 def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     """Exact membership in a distinguished subgroup or coset."""
-    return _on_locus(*p.lattice(), locus)
+    return locus in _lattice_facts(p)[2]
 
 
 class Classification(NamedTuple):
@@ -200,20 +224,16 @@ class Classification(NamedTuple):
 
 
 def classify(p: TorusPoint) -> Classification:
-    """Full type report; the flags are those of the (shared) preimage class.
-
-    The flag rule reads the plus-first preimage's numerators, in units of pi/(2n);
-    the multiplicity is read off the mirror loci, and the representative is the
-    least of the twelve lattice images.
-    """
+    """Full type report: orientation, flags and loci are ``point_facts`` at the lattice
+    point, the multiplicity is read off the mirror loci, and the representative is the
+    least of the twelve lattice images."""
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
     k1, k2, n = p.lattice()
-    flags = type_flags(tuple(2 * abs(m) for m in _fiber(k1, k2, n)[0]), operator.eq, 0, n)
-    loci = tuple(l for l in LocusId if _on_locus(k1, k2, n, l))
+    sign, flags, loci = point_facts(2 * k1, 2 * k2, n, 0)
     return Classification(
         point=p,
-        orientation=orientation(p),
+        orientation=_SIGNS[sign],
         flags=flags,
         loci=loci,
         multiplicity=symmetry.multiplicity_on(loci),

@@ -26,7 +26,7 @@ from tritorus.symmetry import (
     word_of,
 )
 from tritorus.torus import (
-    LocusId, OrientationSign, TorusPoint, _on_locus, classify, inverse, orientation, rho,
+    LocusId, OrientationSign, TorusPoint, classify, in_locus, inverse, orientation, rho,
 )
 
 
@@ -186,7 +186,8 @@ class TestOrbitsAndMultiplicity:
         for n in range(1, 61):
             for k1 in range(n):
                 for k2 in range(n):
-                    loci = [locus for locus in LocusId if _on_locus(k1, k2, n, locus)]
+                    p = TorusPoint.from_lattice(k1, k2, n)
+                    loci = [locus for locus in LocusId if in_locus(p, locus)]
                     assert multiplicity_on(loci) == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
 
     @given(points)

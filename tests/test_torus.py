@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -18,6 +19,7 @@ from tritorus.torus import (
     inverse,
     mul,
     orientation,
+    point_facts,
     power,
     project_relative,
     rho,
@@ -237,6 +239,18 @@ class TestLattice:
             for k2 in range(n):
                 p = TorusPoint.from_lattice(k1, k2, n)
                 assert set(classify(p).loci) == fraction_loci(p)
+
+    def test_lattice_and_float_point_facts_agree(self):
+        # one rule, two number types: exact ints in units of pi/n, and floats within
+        # REFINE_TOL, agree on sign, flags and loci at every torsion point, odd orders too
+        from tritorus.pathtrace import REFINE_TOL
+
+        for n in range(1, 49):
+            for k1 in range(n):
+                for k2 in range(n):
+                    exact = point_facts(2 * k1, 2 * k2, n, 0)
+                    xi = (2 * math.pi * k1 / n, 2 * math.pi * k2 / n)
+                    assert point_facts(*xi, math.pi, REFINE_TOL) == exact, (k1, k2, n)
 
 
 class TestLoci:

@@ -13,8 +13,8 @@ code, stdout and stderr.  The angles are kπ/q grid triples on both sheets
 (which snap to exact), the same triples jittered by 1.5e-9 to 1e-3 rad,
 uniform random triangles, degenerate ones, and invalid triples.  ``exact``
 runs ``invert``, ``invert --json`` and ``orbit`` at every torsion point
-2π(k1, k2)/n with n <= 24, and exact ``classify`` on every triple of
-multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
+2π(k1, k2)/n with n <= 24, and exact ``classify`` and ``map`` on every triple
+of multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
 4,000) seeded ``path`` commands from starts given as two p/q coordinates,
 three exact angles, decimal coordinates near a p/q point, or three
 ``--format degrees|radians`` angles drawn as the classify corpus draws them,
@@ -109,7 +109,9 @@ def exact_corpus() -> None:
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 for sign in (1, -1):
-                    _run(["classify", "--", *(str(Fraction(sign * k, n)) for k in (i, j, n - i - j))])
+                    triple = [str(Fraction(sign * k, n)) for k in (i, j, n - i - j)]
+                    for command in ("classify", "map"):
+                        _run([command, "--", *triple])
 
 
 def _path_start(rng: random.Random) -> list[str]:
