@@ -43,8 +43,8 @@ class PiRational:
     Immutable.  ``numerator`` and ``denominator`` are plain ints in lowest
     terms with ``denominator > 0``, so equality is equality of the pair.
     Addition, negation, integer scaling and comparison are integer
-    cross-products and never round.  ``coeff`` builds the ``Fraction`` on
-    demand; scaling by a ``Fraction``, dividing and hashing go through it.
+    cross-products and never round, and the hash is that of the pair.  ``coeff``
+    builds the ``Fraction`` on demand; scaling by a ``Fraction`` and dividing go through it.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -135,7 +135,7 @@ class PiRational:
         return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        return hash(("PiRational", self.coeff))
+        return hash((self.numerator, self.denominator))
 
     def __repr__(self) -> str:
         return f"PiRational({self.numerator}, {self.denominator})"

@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
 from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple
-from .pathtrace import REFINE_TOL, EventKind, trace_path, wrap_position
-from .torus import TWO_PI, TorusPoint
+from .pathtrace import EventKind, trace_path, wrap_position
+from .torus import REFINE_TOL, TWO_PI, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
 #: with denominator up to this bound, when within FLOAT_TOL radians (inputs only).
@@ -116,10 +116,6 @@ def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, m
     return report
 
 
-def _orientation_name(sign: int) -> str:
-    return {1: "positive", -1: "negative", 0: "zero"}[sign]
-
-
 def float_sheet(alpha: float, beta: float, gamma: float) -> str:
     """The sheet of three float angles, checked as ``make_triple`` does, within FLOAT_TOL."""
     total = alpha + beta + gamma
@@ -147,7 +143,7 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
     rep = min(symmetry.images(*xi, TWO_PI))
     return _type_report(
         "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
-        [_fmt_float(c) for c in xi], _orientation_name(sign), flags,
+        [_fmt_float(c) for c in xi], torus.SIGNS[sign].value, flags,
         [locus.value for locus in loci], symmetry.multiplicity_on(loci),
         f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
     )
@@ -287,7 +283,7 @@ def cmd_path(args) -> int:
     report = Report()
     report.add("start", f"({_fmt_float(start[0])}, {_fmt_float(start[1])})")
     report.add("velocity", f"({_fmt_float(velocity[0])}, {_fmt_float(velocity[1])})")
-    report.add("orientation.start", _orientation_name(pathtrace.orientation_sign(start)))
+    report.add("orientation.start", torus.SIGNS[pathtrace.orientation_sign(start)].value)
     for i, ev in enumerate(events, start=1):
         fields = [f"kind={ev.kind.value}", f"step={ev.step_index}"]
         fields.append(
@@ -298,12 +294,12 @@ def cmd_path(args) -> int:
             fields.append(f"residue={_fmt_float(pathtrace.residue(ev.locus, ev.refined_position))}")
         if ev.kind is EventKind.ORIENTATION_FLIP:
             # probe where the crossed locus's residue is 1e-6, whatever the angle of the path
-            a, b, _ = pathtrace.LOCUS_FORMS[ev.locus]
+            a, b, _ = torus.LOCUS_EQUATIONS[ev.locus]
             eps = 1e-6 / abs(a * velocity[0] + b * velocity[1])
             x, y = ev.refined_position
             for side, t in (("before", -eps), ("after", eps)):
                 sign = pathtrace.orientation_sign((x + t * velocity[0], y + t * velocity[1]))
-                fields.append(f"orientation_{side}={_orientation_name(sign)}")
+                fields.append(f"orientation_{side}={torus.SIGNS[sign].value}")
         report.add(f"event.{i}", " ".join(fields))
     report.emit(args.json)
     return 0

@@ -5,11 +5,11 @@ angle triples (the sheets alpha+beta+gamma = +-pi); in relative-argument
 coordinates this metric has quadratic form
 ds^2 = (dxi1^2 + dxi2^2 - dxi1*dxi2) / 2.  Uniform sampling of (xi1, xi2)
 on [0, 2*pi)^2 realizes the uniform law because the chart is affine with
-constant Jacobian.  On either sheet a sample's doubled |angles| are m, 2*pi - M and
-M - m for its sorted coordinates m <= M (``torus.doubled_angles``): degenerate when the
-least is <= BOUNDARY_TOL, else obtuse (acute) when the biggest is over (under) pi by more
-than 2*BOUNDARY_TOL.  BOUNDARY_TOL is not the classifier's REFINE_TOL: the md5 pins of
-``measure`` and ``plot`` and the halved-angle oracle test fix it.
+constant Jacobian.  A sample is scored by ``torus.point_facts`` at (xi1, xi2, pi,
+REFINE_TOL), on whole arrays: its doubled |angles| are m, 2*pi - M and M - m for its
+sorted coordinates m <= M (``torus.doubled_angles``); it is degenerate, and in no region,
+when the least is within REFINE_TOL of 0, else obtuse (acute) when the biggest is over
+(under) pi by more than REFINE_TOL, and positive (negative) when xi2 > xi1 (xi2 < xi1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .symmetry import multiplicity_on
-from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId, doubled_angles
+from .torus import LOCUS_EQUATIONS, REFINE_TOL, TWO_PI, LocusId, doubled_angles
 from .angles import DomainError
 
 if TYPE_CHECKING:
@@ -27,10 +27,6 @@ if TYPE_CHECKING:
 
 #: Identity of the deterministic generator backing ``sample_uniform``.
 RNG_ALGORITHM = "numpy-pcg64"
-
-#: A sampled point counts as lying on a measure-zero boundary (and is
-#: excluded from open-region counts) only within this residue tolerance.
-BOUNDARY_TOL = 1e-12
 
 #: Samples scored at a time, so scoring temporaries stay bounded for any n.
 _CHUNK = 1 << 14
@@ -150,19 +146,21 @@ def sample_uniform(seed: int, n: int) -> np.ndarray:
 
 
 def _region_masks(xi: np.ndarray) -> dict[Region, np.ndarray]:
-    """Boolean membership of float samples in each region; boundary hits count as neither."""
+    """Boolean membership of float samples in each region, as ``torus.point_facts`` decides
+    it bit for bit: a degenerate sample is in none, a right one neither obtuse nor acute."""
     import numpy as np
 
     xi1, xi2 = xi[:, 0], xi[:, 1]
-    diff = xi2 - xi1
     low, top, span = doubled_angles(np.minimum(xi1, xi2), np.maximum(xi1, xi2), TWO_PI)
-    nondegenerate = np.minimum(np.minimum(low, top), span) > BOUNDARY_TOL
-    biggest = np.maximum(np.maximum(low, top), span)
+    # torus.wrap(least, 0, pi) is least + pi - pi, as the least is at most 2*pi/3
+    nondegenerate = np.minimum(np.minimum(low, top), span) + math.pi - math.pi > REFINE_TOL
+    # and torus.wrap(biggest, pi, pi) is biggest - pi, which is exact
+    slant = np.maximum(np.maximum(low, top), span) - math.pi
     return {
-        Region.OBTUSE: nondegenerate & (biggest > math.pi + 2.0 * BOUNDARY_TOL),
-        Region.ACUTE: nondegenerate & (biggest < math.pi - 2.0 * BOUNDARY_TOL),
-        Region.POSITIVE_ORIENTATION: diff > BOUNDARY_TOL,
-        Region.NEGATIVE_ORIENTATION: diff < -BOUNDARY_TOL,
+        Region.OBTUSE: nondegenerate & (slant > REFINE_TOL),
+        Region.ACUTE: nondegenerate & (slant < -REFINE_TOL),
+        Region.POSITIVE_ORIENTATION: nondegenerate & (xi2 > xi1),
+        Region.NEGATIVE_ORIENTATION: nondegenerate & (xi2 < xi1),
     }
 
 

@@ -12,10 +12,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .angles import DomainError
-from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId, point_facts
-
-#: Residue magnitude below which a crossing is accepted.
-REFINE_TOL = 1e-9
+from .torus import LOCUS_EQUATIONS, REFINE_TOL, TWO_PI, LocusId, point_facts, wrap
 
 #: Most crossings of one locus a path may make, one per 2*pi of |a*vx + b*vy|*t:
 #: rounding a position at that phase costs about 1e-10, a tenth of REFINE_TOL.
@@ -40,17 +37,7 @@ class PathEvent(NamedTuple):
     refined_position: tuple[float, float]
 
 
-# Residue of each locus: coefficients (a, b) and offset c, the locus being
-# a*xi1 + b*xi2 = c (mod 2*pi).
-LOCUS_FORMS: dict[LocusId, tuple[int, int, float]] = {
-    locus: (a, b, h * math.pi) for locus, (a, b, h) in LOCUS_EQUATIONS.items()
-}
-
 _DEGENERATE_LOCI = (LocusId.D_A, LocusId.D_B, LocusId.D_C)
-
-
-def _wrap_pm_pi(x: float) -> float:
-    return (x + math.pi) % TWO_PI - math.pi
 
 
 def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
@@ -58,9 +45,9 @@ def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
 
 
 def residue(locus: LocusId, xi: tuple[float, float]) -> float:
-    """Distance of a*xi1 + b*xi2 from c, taken mod 2*pi, for the locus's form."""
-    a, b, c = LOCUS_FORMS[locus]
-    return abs(_wrap_pm_pi(a * xi[0] + b * xi[1] - c))
+    """Distance of a*xi1 + b*xi2 from h*pi mod 2*pi, for the locus's ``LOCUS_EQUATIONS``."""
+    a, b, h = LOCUS_EQUATIONS[locus]
+    return abs(wrap(a * xi[0] + b * xi[1], h * math.pi, math.pi))
 
 
 def orientation_sign(xi: tuple[float, float]) -> int:
@@ -90,7 +77,7 @@ def trace_path(
 
     t_end = steps * step_size
     crossings: list[tuple[int, float, str, LocusId]] = []
-    for locus, (a, b, c) in LOCUS_FORMS.items():
+    for locus, (a, b, h) in LOCUS_EQUATIONS.items():
         slope = a * velocity[0] + b * velocity[1]
         if slope == 0.0:
             continue  # parallel to the locus: never crosses transversally
@@ -98,7 +85,7 @@ def trace_path(
             raise DomainError(f"path crosses {locus.value} more than {MAX_CROSSINGS} times")
         # the residue at t = 0, wrapped so that a crossing at the start is k = 0; a start
         # within REFINE_TOL lies on the locus, as in orientation_sign, and does not cross it
-        r0 = _wrap_pm_pi(a * start[0] + b * start[1] - c)
+        r0 = wrap(a * start[0] + b * start[1], h * math.pi, math.pi)
         r1 = r0 + slope * t_end
         for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
             t = (TWO_PI * k - r0) / slope

@@ -58,6 +58,9 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
 #: The period of each coordinate, in float radians.
 TWO_PI = 2.0 * math.pi
 
+#: Two float torus values (radians) agree when their residue mod 2*pi is at most this.
+REFINE_TOL = 1e-9
+
 
 class TorusPoint(NamedTuple("TorusPoint", [("xi1", PiRational), ("xi2", PiRational)])):
     """A point of the torus, coordinates canonically reduced mod 2*pi."""
@@ -128,39 +131,44 @@ def doubled_angles(low, high, period):
     return low, period - high, high - low
 
 
+def wrap(u, v, half):
+    """The residue of u - v mod 2*half, taken between -half and half: u and v agree when it
+    is small.  It is the one residue of every torus fact, exact or float."""
+    return (u - v + half) % (2 * half) - half
+
+
+def point_loci(x, y, half, tol) -> tuple[LocusId, ...]:
+    """The loci of (x, y): those whose ``LOCUS_EQUATIONS`` residue is within ``tol``,
+    in units where pi is half, plus ``Equilateral3`` where I_A and I_C meet."""
+    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items()
+            if abs(wrap(p * x + q * y, h * half, half)) <= tol]
+    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
+        loci.append(LocusId.EQUILATERAL3)
+    return tuple(loci)
+
+
 def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
     """Orientation sign, type flags and loci of (x, y) in [0, 2*half)^2, in units where pi is half.
 
     A lattice point 2*pi*(k1, k2)/n passes (2*k1, 2*k2, n, 0), all ints, and a float point
-    (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when they agree mod 2*half within
-    ``tol``, and a point is on a locus when its equation holds so; the sign is 0 when
-    degenerate, else that of y - x.
+    (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when their ``wrap`` is within
+    ``tol``, and a point is on a locus when its equation holds so (``point_loci``); the sign
+    is 0 when degenerate, else that of y - x.
     """
-    period = 2 * half
-
-    def eq(u, v):
-        return abs((u - v + half) % period - half) <= tol
-
-    a, b, c = doubled_angles(min(x, y), max(x, y), period)
-    flags = type_flags((b, a, c) if y > x else (a, b, c), eq, 0, half)
-    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items() if eq(p * x + q * y, h * half)]
-    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
-        loci.append(LocusId.EQUILATERAL3)
+    a, b, c = doubled_angles(min(x, y), max(x, y), 2 * half)
+    flags = type_flags((b, a, c) if y > x else (a, b, c),
+                       lambda u, v: abs(wrap(u, v, half)) <= tol, 0, half)
     sign = 0 if flags.degenerate else 1 if y > x else -1
-    return sign, flags, tuple(loci)
-
-
-def _lattice_facts(p: TorusPoint):
-    k1, k2, n = p.lattice()
-    return point_facts(2 * k1, 2 * k2, n, 0)
+    return sign, flags, point_loci(x, y, half, tol)
 
 
 #: ``OrientationSign`` by the sign that ``point_facts`` returns.
-_SIGNS = (OrientationSign.ZERO, OrientationSign.POSITIVE, OrientationSign.NEGATIVE)
+SIGNS = (OrientationSign.ZERO, OrientationSign.POSITIVE, OrientationSign.NEGATIVE)
 
 
 def orientation(p: TorusPoint) -> OrientationSign:
-    return _SIGNS[_lattice_facts(p)[0]]
+    k1, k2, n = p.lattice()
+    return SIGNS[point_facts(2 * k1, 2 * k2, n, 0)[0]]
 
 
 def _lifts(k: int, n: int) -> tuple[int, ...]:
@@ -201,7 +209,8 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
 
 def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     """Exact membership in a distinguished subgroup or coset."""
-    return locus in _lattice_facts(p)[2]
+    k1, k2, n = p.lattice()
+    return locus in point_loci(2 * k1, 2 * k2, n, 0)
 
 
 class Classification(NamedTuple):
@@ -233,7 +242,7 @@ def classify(p: TorusPoint) -> Classification:
     sign, flags, loci = point_facts(2 * k1, 2 * k2, n, 0)
     return Classification(
         point=p,
-        orientation=_SIGNS[sign],
+        orientation=SIGNS[sign],
         flags=flags,
         loci=loci,
         multiplicity=symmetry.multiplicity_on(loci),

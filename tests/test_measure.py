@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from tritorus.measure import (
     _CHUNK,
     _region_masks,
-    BOUNDARY_TOL,
     McEstimate,
     Region,
     UnsupportedLocus,
@@ -20,7 +19,7 @@ from tritorus.measure import (
     sample_uniform,
 )
 from tritorus.symmetry import multiplicity
-from tritorus.torus import LocusId, TorusPoint
+from tritorus.torus import REFINE_TOL, LocusId, TorusPoint, point_facts
 from tritorus.angles import PiRational
 
 SEED = 20260823
@@ -183,20 +182,20 @@ def assert_counts_agree(xi):
 
 TWO_PI = 2 * math.pi
 
-# rows on or within BOUNDARY_TOL of the loci that bound the regions
+# rows on or within REFINE_TOL of the loci that bound the regions
 BOUNDARY_ROWS = [
     (1.0, 1.0),                                  # diagonal, D_C
-    (2.0, 2.0 + 0.5 * BOUNDARY_TOL),
+    (2.0, 2.0 + 0.5 * REFINE_TOL),
     (0.0, 1.0),                                  # xi1 = 0, D_B
     (0.0, 4.0),
-    (1.0, TWO_PI - 1e-13),                       # xi2 just below 2*pi, D_A
+    (1.0, TWO_PI - 0.1 * REFINE_TOL),            # xi2 just below 2*pi, D_A
     (1.0, math.pi),                              # xi2 = pi exactly, R_A
     (4.0, math.pi),
-    (1.0, math.pi + 0.75 * BOUNDARY_TOL),        # within the tolerance of a right angle
-    (math.pi - 0.75 * BOUNDARY_TOL, 5.0),        # R_B
-    (0.5, 0.5 + math.pi + 0.5 * BOUNDARY_TOL),   # R_C
-    (1.0, math.pi + 4 * BOUNDARY_TOL),           # just outside it, on either side
-    (1.0, math.pi - 4 * BOUNDARY_TOL),
+    (1.0, math.pi + 0.75 * REFINE_TOL),          # within the tolerance of a right angle
+    (math.pi - 0.75 * REFINE_TOL, 5.0),          # R_B
+    (0.5, 0.5 + math.pi + 0.5 * REFINE_TOL),     # R_C
+    (1.0, math.pi + 4 * REFINE_TOL),             # just outside it, on either side
+    (1.0, math.pi - 4 * REFINE_TOL),
 ]
 
 
@@ -229,27 +228,6 @@ class TestRegionCounts:
         assert est.probability == float(region_mask(xi, region).mean())
 
 
-def _halved_angle_masks(xi):
-    """The region rule written per sheet, on the halved |angles| of the preimage triangle."""
-    xi1, xi2 = xi[:, 0], xi[:, 1]
-    diff = xi2 - xi1
-    degenerate = (
-        (np.abs(diff) <= BOUNDARY_TOL)
-        | (np.minimum(xi1, TWO_PI - xi1) <= BOUNDARY_TOL)
-        | (np.minimum(xi2, TWO_PI - xi2) <= BOUNDARY_TOL)
-    )
-    pos = xi2 > xi1
-    a = np.where(pos, math.pi - xi2 / 2.0, xi2 / 2.0)
-    b = np.where(pos, xi1 / 2.0, math.pi - xi1 / 2.0)
-    biggest = np.maximum(np.maximum(a, b), np.abs(diff) / 2.0)
-    return {
-        Region.OBTUSE: ~degenerate & (biggest > math.pi / 2.0 + BOUNDARY_TOL),
-        Region.ACUTE: ~degenerate & (biggest < math.pi / 2.0 - BOUNDARY_TOL),
-        Region.POSITIVE_ORIENTATION: diff > BOUNDARY_TOL,
-        Region.NEGATIVE_ORIENTATION: diff < -BOUNDARY_TOL,
-    }
-
-
 def _moved(values):
     """Each value, moved by up to 5 ulp and by 0.5 to 4 tolerances either way."""
     values = np.asarray(values, dtype=float)
@@ -260,7 +238,7 @@ def _moved(values):
             step = np.nextafter(step, direction)
             out.append(step)
     for k in (0.5, 0.75, 1.0, 1.5, 2.0, 4.0):
-        out += [values + k * BOUNDARY_TOL, values - k * BOUNDARY_TOL]
+        out += [values + k * REFINE_TOL, values - k * REFINE_TOL]
     return np.concatenate(out)
 
 
@@ -277,10 +255,28 @@ def _adversarial_rows():
     return rows[(rows >= 0.0).all(axis=1) & (rows < TWO_PI).all(axis=1)]
 
 
-def test_region_masks_match_the_halved_angle_rule():
-    xi = _adversarial_rows()
+def _least_angle_rows():
+    """Rows whose least doubled angle d lies within a few ulps of pi of REFINE_TOL, either
+    way: d is xi1, xi2, xi2 - xi1 or 2*pi - max, rounded through pi by the residue."""
+    d = REFINE_TOL + np.spacing(math.pi) * np.arange(-24, 25) / 4.0
+    rows = []
+    for base in (1.0, 2.5, math.pi, 4.0, 5.5):
+        for v in d:
+            rows += [(v, base), (base, v), (base, base + v), (base + v, base),
+                     (base, TWO_PI - v), (TWO_PI - v, base)]
+    return np.array(rows)
+
+
+def test_region_masks_match_point_facts():
+    xi = np.concatenate([_adversarial_rows(), _least_angle_rows()])
     assert len(xi) > 45_000
-    expect = _halved_angle_masks(xi)
     got = _region_masks(xi)
+    expect = {region: [] for region in Region}
+    for x, y in xi.tolist():
+        sign, flags, _ = point_facts(x, y, math.pi, REFINE_TOL)
+        expect[Region.OBTUSE].append(flags.obtuse)
+        expect[Region.ACUTE].append(flags.acute)
+        expect[Region.POSITIVE_ORIENTATION].append(sign == 1)
+        expect[Region.NEGATIVE_ORIENTATION].append(sign == -1)
     for region in Region:
-        assert np.array_equal(got[region], expect[region]), region
+        assert np.array_equal(got[region], np.array(expect[region])), region

@@ -1,20 +1,25 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from tritorus.angles import DomainError
 from tritorus.pathtrace import (
-    LOCUS_FORMS,
     MAX_CROSSINGS,
     EventKind,
     ZeroVelocity,
     orientation_sign,
+    residue,
     trace_path,
+    wrap_position,
 )
-from tritorus.torus import LocusId
+from tritorus.torus import LOCUS_EQUATIONS, REFINE_TOL, LocusId, point_facts
 
 TWO_PI = 2 * math.pi
+
+# each locus a*xi1 + b*xi2 = c (mod 2*pi) as (a, b, c), in radians
+LOCUS_FORMS = {locus: (a, b, h * math.pi) for locus, (a, b, h) in LOCUS_EQUATIONS.items()}
 
 
 def residue_at(locus, position):
@@ -156,3 +161,28 @@ class TestLocusForms:
             for locus, (a, b, c) in LOCUS_FORMS.items():
                 near = residue_at(locus, pos) <= 1e-9
                 assert near == in_locus(p, locus)
+
+
+def _near_locus_points():
+    """Seeded points 0.5 and 1.5 REFINE_TOL off each line locus, either way, and uniform ones."""
+    rng = random.Random(15)
+    points = [(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI)) for _ in range(2000)]
+    for a, b, c in LOCUS_FORMS.values():
+        for _ in range(100):
+            for off in (0.5, -0.5, 1.5, -1.5):
+                # solve a*x + b*y = c + off*REFINE_TOL for the coordinate with a unit coefficient
+                t = rng.uniform(0.0, TWO_PI)
+                s = c + off * REFINE_TOL
+                points.append((t, (s - a * t) * b) if abs(b) == 1 else ((s - b * t) * a, t))
+    return [wrap_position(xi) for xi in points]
+
+
+def test_residue_holds_exactly_on_the_printed_loci():
+    # path's printed residue and classify's loci use one tolerance and one wrap
+    checked = 0
+    for xi in _near_locus_points():
+        loci = point_facts(*xi, math.pi, REFINE_TOL)[2]
+        for locus in LOCUS_EQUATIONS:
+            assert (residue(locus, xi) <= REFINE_TOL) == (locus in loci), (xi, locus)
+            checked += locus in loci
+    assert checked >= 2400
