@@ -17,9 +17,9 @@ from typing import Optional, Sequence, Union
 
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
-from .angles import VERTICES, DomainError, PiRational, TypeFlags, make_triple
+from .angles import VERTICES, DomainError, PiRational, make_triple
 from .pathtrace import EventKind, trace_path, wrap_position
-from .torus import REFINE_TOL, TWO_PI, TorusPoint
+from .torus import REFINE_TOL, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
 #: with denominator up to this bound, when within FLOAT_TOL radians (inputs only).
@@ -89,31 +89,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# the classify report, and float-path classification (non-rational degrees/radians inputs)
-
-
-def _type_report(mode, sheet, angles, xi, orientation, flags: TypeFlags, loci, multiplicity,
-                 canonical_rep) -> Report:
-    """The classify report; every value but the flags and multiplicity comes formatted."""
-    report = Report()
-    report.add("mode", mode)
-    report.add("sheet", sheet)
-    for name, a in zip(("alpha", "beta", "gamma"), angles):
-        report.add(name, a)
-    report.add("torus.xi1", xi[0])
-    report.add("torus.xi2", xi[1])
-    report.add("orientation", orientation)
-    report.add("degenerate", str(flags.degenerate).lower())
-    report.add("equilateral", str(flags.equilateral).lower())
-    report.add("isosceles_vertices", ",".join(sorted(flags.isosceles_vertices)) or "-")
-    report.add("right_vertices", ",".join(sorted(flags.right_vertices)) or "-")
-    report.add("scalene", str(flags.scalene).lower())
-    report.add("obtuse", str(flags.obtuse).lower())
-    report.add("acute", str(flags.acute).lower())
-    report.add("loci", ",".join(loci) or "-")
-    report.add("multiplicity", multiplicity)
-    report.add("canonical_rep", canonical_rep)
-    return report
+# the triangle of three angles, exact or float, and its classify report
 
 
 def float_sheet(alpha: float, beta: float, gamma: float) -> str:
@@ -131,26 +107,12 @@ def float_sheet(alpha: float, beta: float, gamma: float) -> str:
     return sheet
 
 
-def classify_float(alpha: float, beta: float, gamma: float) -> Report:
-    """Classify angles that are not exact p/q*pi at their torus point xi = rho(alpha, beta).
-
-    gamma is only checked.  Orientation, flags and loci are ``torus.point_facts`` at xi
-    within REFINE_TOL, the rule that exact ``classify`` and ``path`` read too.
-    """
+def _float_triangle(alpha: float, beta: float, gamma: float):
+    """(sheet, angles, point) of three float angles, checked by ``float_sheet``; the point is
+    rho = (2*beta, -2*alpha) wrapped, as ``point_facts`` arguments within REFINE_TOL."""
     sheet = float_sheet(alpha, beta, gamma)
-    xi = wrap_position((2.0 * beta, -2.0 * alpha))
-    sign, flags, loci = torus.point_facts(*xi, math.pi, REFINE_TOL)
-    rep = min(symmetry.images(*xi, TWO_PI))
-    return _type_report(
-        "float", sheet, [_fmt_float(a) for a in (alpha, beta, gamma)],
-        [_fmt_float(c) for c in xi], torus.SIGNS[sign].value, flags,
-        [locus.value for locus in loci], symmetry.multiplicity_on(loci),
-        f"({_fmt_float(rep[0])}, {_fmt_float(rep[1])})",
-    )
-
-
-# ---------------------------------------------------------------------------
-# subcommands
+    xi1, xi2 = wrap_position((2.0 * beta, -2.0 * alpha))
+    return sheet, (alpha, beta, gamma), (xi1, xi2, math.pi, REFINE_TOL)
 
 
 def _parse_three_angles(texts: Sequence[str], mode: str) -> list[Angle]:
@@ -159,22 +121,55 @@ def _parse_three_angles(texts: Sequence[str], mode: str) -> list[Angle]:
     return [parse_angle(t, mode) for t in texts]
 
 
-def cmd_classify(args) -> int:
-    angles = _parse_three_angles(args.angles, args.format)
-    if not all(isinstance(a, PiRational) for a in angles):
-        report = classify_float(*(a.radians if isinstance(a, PiRational) else a for a in angles))
-        report.emit(args.json)
-        return 0
+def _triangle(texts: Sequence[str], mode: str):
+    """(sheet, angles, point) of three angle arguments: an exact triple ``make_triple`` checks,
+    at rho's lattice point; else all three as floats, by ``_float_triangle``."""
+    angles = _parse_three_angles(texts, mode)
+    if all(isinstance(a, PiRational) for a in angles):
+        triple = make_triple(*angles)
+        k1, k2, n = torus.rho(triple).lattice()
+        return triple.sheet.value, triple.angles, (2 * k1, 2 * k2, n, 0)
+    return _float_triangle(*(a.radians if isinstance(a, PiRational) else a for a in angles))
 
-    triple = make_triple(*angles)
-    info = torus.classify(torus.rho(triple))
-    report = _type_report(
-        "exact", triple.sheet.value, [_fmt_angle(a) for a in triple.angles],
-        [_fmt_angle(info.point.xi1), _fmt_angle(info.point.xi2)], info.orientation.value,
-        info.flags, [l.value for l in info.loci], info.multiplicity,
-        str(info.canonical_rep),
-    )
-    report.emit(args.json)
+
+def _classify_report(sheet: str, angles, point) -> Report:
+    """The classify report of a triangle, read off ``torus.classify_point`` at its point;
+    a float point (tol non-zero) prints floats, a lattice point p/q·π."""
+    x, y, half, tol = point
+    sign, flags, loci, multiplicity, rep = torus.classify_point(*point)
+    coordinate = _fmt_float if tol else (lambda v: str(PiRational(v, half)))
+    report = Report()
+    report.add("mode", "float" if tol else "exact")
+    report.add("sheet", sheet)
+    for name, a in zip(("alpha", "beta", "gamma"), angles):
+        report.add(name, _fmt_angle(a))
+    report.add("torus.xi1", coordinate(x))
+    report.add("torus.xi2", coordinate(y))
+    report.add("orientation", torus.SIGNS[sign].value)
+    report.add("degenerate", str(flags.degenerate).lower())
+    report.add("equilateral", str(flags.equilateral).lower())
+    report.add("isosceles_vertices", ",".join(sorted(flags.isosceles_vertices)) or "-")
+    report.add("right_vertices", ",".join(sorted(flags.right_vertices)) or "-")
+    report.add("scalene", str(flags.scalene).lower())
+    report.add("obtuse", str(flags.obtuse).lower())
+    report.add("acute", str(flags.acute).lower())
+    report.add("loci", ",".join(locus.value for locus in loci) or "-")
+    report.add("multiplicity", multiplicity)
+    report.add("canonical_rep", f"({coordinate(rep[0])}, {coordinate(rep[1])})")
+    return report
+
+
+def classify_float(alpha: float, beta: float, gamma: float) -> Report:
+    """The classify report of angles that are not exact p/q*pi, at their float torus point."""
+    return _classify_report(*_float_triangle(alpha, beta, gamma))
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_classify(args) -> int:
+    _classify_report(*_triangle(args.angles, args.format)).emit(args.json)
     return 0
 
 
@@ -249,27 +244,19 @@ def cmd_measure(args) -> int:
 
 
 def cmd_path(args) -> int:
-    rad = None
-    try:
-        if len(args.start) == 2:
+    if len(args.start) == 3:
+        # checked as classify checks it; an exact start is exact, so that on a locus it lies on it
+        x, y, half, tol = _triangle(args.start, args.format)[2]
+        start = (x, y) if tol else (PiRational(x, half).radians, PiRational(y, half).radians)
+    elif len(args.start) == 2:
+        try:
             start = tuple(parse_pi_rational(c).radians for c in args.start)
-        elif len(args.start) == 3:
-            angles = _parse_three_angles(args.start, args.format)
-            if all(isinstance(a, PiRational) for a in angles):
-                # validated as classify does; exact, so that a start on a locus lies on it
-                p = torus.rho(make_triple(*angles))
-                start = (p.xi1.radians, p.xi2.radians)
-            else:
-                rad = [a.radians if isinstance(a, PiRational) else a for a in angles]
-                start = wrap_position((2.0 * rad[1], -2.0 * rad[0]))
-        else:
-            raise ParseError("start must be two torus coordinates or three angles")
-    except OverflowError:
-        raise ParseError("start is too large for a float") from None
-    if not all(math.isfinite(c) for c in start):
-        raise ParseError("start is too large for a float")
-    if rad is not None:
-        float_sheet(*rad)  # a triangle, validated as classify does
+        except OverflowError:
+            raise ParseError("start is too large for a float") from None
+        if not all(math.isfinite(c) for c in start):
+            raise ParseError("start is too large for a float")
+    else:
+        raise ParseError("start must be two torus coordinates or three angles")
 
     velocity = (args.velocity[0], args.velocity[1])
     if not all(math.isfinite(v) for v in velocity):

@@ -13,6 +13,9 @@ if TYPE_CHECKING:
 
 _ANTI_LOCI = frozenset({LocusId.IPERP_A, LocusId.IPERP_B, LocusId.ANTI_RIGHT})
 
+#: Width and height of the SVG, in pixels.
+SIZE = 640
+
 
 def _locus_line(a: int, b: int, h: int) -> tuple[tuple[float, float], tuple[int, int]]:
     """(offset point, primitive direction) of a*xi1 + b*xi2 = h*pi (mod 2*pi).
@@ -82,16 +85,15 @@ def _segments(offset: tuple[float, float], direction: tuple[int, int]):
 
 
 class SvgCanvas:
-    def __init__(self, size: int = 640):
-        self.size = size
+    def __init__(self):
         self.margin = 30
-        self.scale = (size - 2 * self.margin) / TWO_PI
+        self.scale = (SIZE - 2 * self.margin) / TWO_PI
         self.body: list[str] = []
 
     def xy(self, p: tuple[float, float]) -> tuple[float, float]:
         # y axis points up in the mathematical picture; works alike on coordinate arrays
         x = self.margin + p[0] * self.scale
-        y = self.size - self.margin - p[1] * self.scale
+        y = SIZE - self.margin - p[1] * self.scale
         return (x, y)
 
     def fmt(self, p: tuple[float, float]) -> str:
@@ -103,8 +105,8 @@ class SvgCanvas:
 
     def document(self) -> str:
         head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.size}" '
-            f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
         )
         return "\n".join([head, *self.body, "</svg>"]) + "\n"
 
@@ -112,10 +114,9 @@ class SvgCanvas:
 def render_fundamental_domain(
     samples: Optional[np.ndarray] = None,
     include_anti: bool = False,
-    size: int = 640,
 ) -> str:
     """Render the square, orientation regions, loci, torsion points, samples."""
-    cv = SvgCanvas(size=size)
+    cv = SvgCanvas()
 
     # Orientation regions: positive above the diagonal, negative below.
     pos_pts = " ".join(cv.fmt(p) for p in [(0, 0), (0, TWO_PI), (TWO_PI, TWO_PI)])

@@ -232,19 +232,19 @@ class Classification(NamedTuple):
         return rho_preimages(self.point)
 
 
-def classify(p: TorusPoint) -> Classification:
-    """Full type report: orientation, flags and loci are ``point_facts`` at the lattice
-    point, the multiplicity is read off the mirror loci, and the representative is the
-    least of the twelve lattice images."""
+def classify_point(x, y, half, tol) -> tuple:
+    """The whole type report of (x, y), with the arguments of ``point_facts``: its sign,
+    flags and loci, the multiplicity read off the mirror loci, and the least of the twelve
+    ``symmetry.images``, in the same units."""
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
+    sign, flags, loci = point_facts(x, y, half, tol)
+    return sign, flags, loci, symmetry.multiplicity_on(loci), min(symmetry.images(x, y, 2 * half))
+
+
+def classify(p: TorusPoint) -> Classification:
+    """Full type report: ``classify_point`` at the lattice point."""
     k1, k2, n = p.lattice()
-    sign, flags, loci = point_facts(2 * k1, 2 * k2, n, 0)
-    return Classification(
-        point=p,
-        orientation=SIGNS[sign],
-        flags=flags,
-        loci=loci,
-        multiplicity=symmetry.multiplicity_on(loci),
-        canonical_rep=TorusPoint.from_lattice(*min(symmetry.images(k1, k2, n)), n),
-    )
+    sign, flags, loci, multiplicity, (r1, r2) = classify_point(2 * k1, 2 * k2, n, 0)
+    return Classification(p, SIGNS[sign], flags, loci, multiplicity,
+                          TorusPoint(PiRational(r1, n), PiRational(r2, n)))

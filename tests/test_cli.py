@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tritorus
-from tritorus import cli
+from tritorus import cli, torus
+from tritorus.angles import PiRational, make_triple
 
 
 def run(capsys, *argv):
@@ -355,14 +356,13 @@ class TestBadInput:
             ["measure", "--samples", "5", "--seed", "-1"],
             ["plot", "--out", "unused.svg", "--samples", "5", "--seed", "-1"],
             ["path", "1e400", "0", "--velocity", "1", "0", "--steps", "2"],
-            ["path", "--format", "radians", "1.7e308", "1.7e308", "0", "--velocity", "1", "0"],
             ["invert", "--", "0", "--"],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
             "steps-zero", "steps-negative", "measure-samples-negative", "plot-samples-negative",
             "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
-            "start-overflows-on-the-torus", "coordinate-after-second-double-dash",
+            "coordinate-after-second-double-dash",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):
@@ -396,11 +396,15 @@ class TestBadInput:
         (["--format", "degrees"], ["10", "10", "10"]),
         (["--format", "radians"], ["1", "1", "1.14159265"]),
         (["--format", "radians"], ["-0.5", "1.2", "2.44159265358979"]),
+        (["--format", "radians"], ["1.7e308", "1.7e308", "0"]),
+        (["--format", "radians"], ["1", "1e308", "-1e308"]),
     ],
-    ids=["exact-sum", "degrees-sum", "float-sum", "float-out-of-range"],
+    ids=["exact-sum", "degrees-sum", "float-sum", "float-out-of-range",
+         "start-overflows-on-the-torus", "start-overflows-but-the-sum-is-finite"],
 )
 def test_invalid_three_angle_start_exits_2(capsys, fmt, angles):
-    # the three-angle start is checked as the triangle classify would check
+    # the three-angle start is checked as the triangle classify would check, before its
+    # torus point is computed, so an angle that overflows 2*angle is still a bad triangle
     code, out, err = run(
         capsys, "path", *fmt, "--velocity", "1", "0", "--steps", "2", "--", *angles
     )
@@ -437,6 +441,12 @@ def test_float_classifier_agrees_with_exact_on_the_grid(capsys):
         assert list(floating) == list(exact)
         for key in exact.keys() - coordinates:
             assert floating[key] == exact[key], (ks, sign, key)
+        # the exact report is composed in the CLI: it must still be torus.classify's
+        info = torus.classify(torus.rho(make_triple(*(PiRational(sign * k, 24) for k in ks))))
+        assert exact["loci"] == (",".join(locus.value for locus in info.loci) or "-")
+        assert exact["multiplicity"] == str(info.multiplicity)
+        assert exact["orientation"] == info.orientation.value
+        assert exact["canonical_rep"] == str(info.canonical_rep)
 
 
 def _near_locus_triples(seed, count):

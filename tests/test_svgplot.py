@@ -51,7 +51,7 @@ class TestDocument:
         assert len(by_class(root, "polygon", "region-negative")) == 1
 
     def test_torsion_circles(self):
-        root = parse(render_fundamental_domain(size=640))
+        root = parse(render_fundamental_domain())
         circles = by_class(root, "circle", "torsion")
         assert len(circles) == 12
         # the equilateral pair must be among the marked points
@@ -88,7 +88,7 @@ class TestSamples:
 
     def test_sample_circles_inside_border(self):
         xi = sample_uniform(5, 300)
-        root = parse(render_fundamental_domain(samples=xi, size=640))
+        root = parse(render_fundamental_domain(samples=xi))
         for c in by_class(root, "circle", "sample"):
             assert 30 <= float(c.get("cx")) <= 610
             assert 30 <= float(c.get("cy")) <= 610
@@ -108,7 +108,7 @@ class TestLociFromTable:
     def test_segments_lie_on_their_locus(self):
         from tritorus.torus import LOCUS_EQUATIONS
 
-        root = parse(render_fundamental_domain(include_anti=True, size=640))
+        root = parse(render_fundamental_domain(include_anti=True))
         margin, scale = 30, (640 - 60) / TWO_PI
         drawn = {e.get("id"): e.get("d") for e in by_class(root, "path", "locus")}
         assert len(drawn) == len(LOCUS_EQUATIONS)

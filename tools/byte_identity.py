@@ -6,6 +6,7 @@
     PYTHONPATH=src python tools/byte_identity.py plot
     PYTHONPATH=src python tools/byte_identity.py measure > out.txt
     PYTHONPATH=src python tools/byte_identity.py arith > out.txt
+    PYTHONPATH=src python tools/byte_identity.py refuse > out.txt
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
 degrees|radians`` commands in process and prints each command with its exit
@@ -28,7 +29,13 @@ denominators up to 60 and numerators from -2q-1 to 2q+1 in steps of
 max(1, q // 5) (not all in lowest terms), its ``str``, ``repr``, ``coeff``,
 ``radians``, ``mod_two_pi()``, negation, ``abs``, ``* 3``,
 ``* Fraction(-3, 4)`` and ``/ 2``, and for every pair of grid angles their
-sum, difference and comparisons.  Run it once on each tree, with PYTHONPATH
+sum, difference and comparisons.  ``refuse`` runs ``classify``, ``map`` and
+``path`` on bad input, in each of the three formats, and prints each command
+with its exit code, stdout and stderr.  The angles are nan, ±inf, ±1e400,
+±1.7e308 or ±1e308 beside small angles or beside each other, wrong sums,
+out-of-range angles, and one, two or four angles (two are ``path``'s
+coordinates); ``path`` also starts from two bad coordinates (non-finite,
+beyond a float, unparsable).  Run it once on each tree, with PYTHONPATH
 pointing at that tree's ``src``, and compare the outputs with ``cmp``.
 """
 
@@ -193,6 +200,49 @@ def arith_corpus() -> None:
                   x < y, x <= y, x > y, x >= y, x == y)
 
 
+_HUGE = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1.7e308", "-1.7e308", "1e308",
+         "-1e308")
+_SMALL = ("0", "1", "-1", "1/2", "0.5")
+_BAD_TRIPLES = (
+    ["1/3", "1/3", "1/2"], ["1", "1", "1"], ["60", "60", "61"], ["-60", "-60", "-59"],
+    ["3/2", "-1/4", "-1/4"], ["-0.5", "1.2", "2.44159265358979"], ["200", "-10", "-10"],
+    ["1/2", "1/2", "-1/2"], ["x", "1", "1"], ["1/0", "0", "1"],
+)
+_BAD_COORDINATES = (
+    ["1e400", "0"], ["0", "-1e400"], ["1e308", "0"], ["0", "-1.7e308"], ["nan", "0"],
+    ["0", "inf"], ["1/0", "0"], ["0", "x"], ["1.7e308", "1.7e308"],
+)
+
+
+def _refused_triples() -> list[list[str]]:
+    """Three angles, each a huge or non-finite value beside small angles or beside another
+    huge one, then the fixed bad triples, then one, two and four angles."""
+    out = []
+    for h in _HUGE:
+        for s in _SMALL:
+            for i in range(3):
+                triple = [s, s, s]
+                triple[i] = h
+                out.append(triple)
+        for g in _HUGE:
+            for s in _SMALL:
+                out.append([h, g, s])
+                out.append([s, h, g])
+    return out + [list(t) for t in _BAD_TRIPLES] + [["1/2"], ["1/2", "1/2"], ["1/3"] * 4]
+
+
+def refuse_corpus() -> None:
+    for mode in ("pi-rational", "degrees", "radians"):
+        for angles in _refused_triples():
+            for command in ("classify", "map"):
+                _run([command, "--format", mode, "--", *angles])
+            _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--",
+                  *angles])
+        for coordinates in _BAD_COORDINATES:
+            _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--",
+                  *coordinates])
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["classify"]:
         classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
@@ -206,5 +256,7 @@ if __name__ == "__main__":
         measure_corpus()
     elif sys.argv[1:2] == ["arith"]:
         arith_corpus()
+    elif sys.argv[1:2] == ["refuse"]:
+        refuse_corpus()
     else:
         raise SystemExit(__doc__)
