@@ -263,6 +263,8 @@ def cmd_path(args) -> int:
         raise ParseError("velocity must be finite")
     if args.steps < 1:
         raise ParseError("--steps must be at least 1")
+    if args.steps > sys.float_info.max:  # steps * step_size would not convert
+        raise ParseError("--steps is too large for a float")
     if not (math.isfinite(args.step_size) and args.step_size > 0.0):
         raise ParseError("--step-size must be positive and finite")
     events = trace_path(start, velocity, args.steps, args.step_size)

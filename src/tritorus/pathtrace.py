@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .angles import DomainError
@@ -38,6 +39,10 @@ class PathEvent(NamedTuple):
 
 
 _DEGENERATE_LOCI = (LocusId.D_A, LocusId.D_B, LocusId.D_C)
+
+#: ``LOCUS_EQUATIONS`` as (a, b, h*pi, name, locus, flips orientation), read by trace_path.
+_ROWS = [(a, b, h * math.pi, locus.value, locus, locus in _DEGENERATE_LOCI)
+         for locus, (a, b, h) in LOCUS_EQUATIONS.items()]
 
 
 def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
@@ -72,42 +77,42 @@ def trace_path(
     if steps < 1 or step_size <= 0.0:
         raise ValueError("steps must be >= 1 and step_size positive")
 
-    def pos(t: float) -> tuple[float, float]:
-        return (start[0] + t * velocity[0], start[1] + t * velocity[1])
-
+    x0, y0 = start
+    vx, vy = velocity
     t_end = steps * step_size
-    crossings: list[tuple[int, float, str, LocusId]] = []
-    for locus, (a, b, h) in LOCUS_EQUATIONS.items():
-        slope = a * velocity[0] + b * velocity[1]
+    crossings = []
+    for a, b, hpi, name, locus, flips in _ROWS:
+        slope = a * vx + b * vy
         if slope == 0.0:
             continue  # parallel to the locus: never crosses transversally
         if not abs(slope) * t_end <= TWO_PI * MAX_CROSSINGS:  # also catches inf and nan
-            raise DomainError(f"path crosses {locus.value} more than {MAX_CROSSINGS} times")
+            raise DomainError(f"path crosses {name} more than {MAX_CROSSINGS} times")
         # the residue at t = 0, wrapped so that a crossing at the start is k = 0; a start
         # within REFINE_TOL lies on the locus, as in orientation_sign, and does not cross it
-        r0 = wrap(a * start[0] + b * start[1], h * math.pi, math.pi)
+        r0 = wrap(a * x0 + b * y0, hpi, math.pi)
+        off = abs(r0) > REFINE_TOL
         r1 = r0 + slope * t_end
         for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
             t = (TWO_PI * k - r0) / slope
-            if 0.0 < t <= t_end and (k or abs(r0) > REFINE_TOL):
+            if 0.0 < t <= t_end and (k or off):
                 i = math.ceil(t / step_size) - 1
                 if i * step_size >= t:
                     i -= 1
                 elif (i + 1) * step_size < t:
                     i += 1
-                crossings.append((i, t, locus.value, locus))
-    crossings.sort(key=lambda e: e[:3])
+                crossings.append((i, t, name, a, b, hpi, locus, flips))
+    crossings.sort(key=itemgetter(0, 1, 2))
 
-    home = wrap_position(start)
-    events = [PathEvent(0, EventKind.START, None, home)]
-    for i, t, _, locus in crossings:
-        refined = wrap_position(pos(t))
-        if residue(locus, refined) > REFINE_TOL:
-            raise DomainError(f"crossing of {locus.value} at t={t!r} not resolved to {REFINE_TOL}")
-        events.append(PathEvent(i, EventKind.LOCUS_CROSSING, locus, refined))
-        if locus in _DEGENERATE_LOCI:
-            events.append(PathEvent(i, EventKind.ORIENTATION_FLIP, locus, refined))
+    crossing, flip = EventKind.LOCUS_CROSSING, EventKind.ORIENTATION_FLIP
+    events = [PathEvent(0, EventKind.START, None, wrap_position(start))]
+    for i, t, name, a, b, hpi, locus, flips in crossings:
+        refined = ((x0 + t * vx) % TWO_PI, (y0 + t * vy) % TWO_PI)
+        if abs(wrap(a * refined[0] + b * refined[1], hpi, math.pi)) > REFINE_TOL:
+            raise DomainError(f"crossing of {name} at t={t!r} not resolved to {REFINE_TOL}")
+        events.append(PathEvent(i, crossing, locus, refined))
+        if flips:
+            events.append(PathEvent(i, flip, locus, refined))
 
-    end = wrap_position(pos(t_end))
+    end = ((x0 + t_end * vx) % TWO_PI, (y0 + t_end * vy) % TWO_PI)
     events.append(PathEvent(steps, EventKind.END, None, end))
     return events

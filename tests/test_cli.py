@@ -357,12 +357,13 @@ class TestBadInput:
             ["plot", "--out", "unused.svg", "--samples", "5", "--seed", "-1"],
             ["path", "1e400", "0", "--velocity", "1", "0", "--steps", "2"],
             ["invert", "--", "0", "--"],
+            ["path", "0", "0", "--velocity", "1", "0", "--steps", "1" + "0" * 309],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
             "steps-zero", "steps-negative", "measure-samples-negative", "plot-samples-negative",
             "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
-            "coordinate-after-second-double-dash",
+            "coordinate-after-second-double-dash", "steps-beyond-float",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):

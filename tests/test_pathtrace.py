@@ -8,13 +8,14 @@ from tritorus.angles import DomainError
 from tritorus.pathtrace import (
     MAX_CROSSINGS,
     EventKind,
+    PathEvent,
     ZeroVelocity,
     orientation_sign,
     residue,
     trace_path,
     wrap_position,
 )
-from tritorus.torus import LOCUS_EQUATIONS, REFINE_TOL, LocusId, point_facts
+from tritorus.torus import LOCUS_EQUATIONS, REFINE_TOL, LocusId, point_facts, wrap
 
 TWO_PI = 2 * math.pi
 
@@ -186,3 +187,93 @@ def test_residue_holds_exactly_on_the_printed_loci():
             assert (residue(locus, xi) <= REFINE_TOL) == (locus in loci), (xi, locus)
             checked += locus in loci
     assert checked >= 2400
+
+
+def _reference_trace(start, velocity, steps, step_size):
+    """trace_path's closed form, written per crossing with the public helpers: a ``pos``
+    closure, ``wrap_position``, ``residue`` and a sort on ``e[:3]``."""
+    if velocity == (0.0, 0.0):
+        raise ZeroVelocity("velocity must be nonzero")
+
+    def pos(t):
+        return (start[0] + t * velocity[0], start[1] + t * velocity[1])
+
+    t_end = steps * step_size
+    crossings = []
+    for locus, (a, b, h) in LOCUS_EQUATIONS.items():
+        slope = a * velocity[0] + b * velocity[1]
+        if slope == 0.0:
+            continue
+        if not abs(slope) * t_end <= TWO_PI * MAX_CROSSINGS:
+            raise DomainError(f"path crosses {locus.value} more than {MAX_CROSSINGS} times")
+        r0 = wrap(a * start[0] + b * start[1], h * math.pi, math.pi)
+        r1 = r0 + slope * t_end
+        for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
+            t = (TWO_PI * k - r0) / slope
+            if 0.0 < t <= t_end and (k or abs(r0) > REFINE_TOL):
+                i = math.ceil(t / step_size) - 1
+                if i * step_size >= t:
+                    i -= 1
+                elif (i + 1) * step_size < t:
+                    i += 1
+                crossings.append((i, t, locus.value, locus))
+    crossings.sort(key=lambda e: e[:3])
+
+    events = [PathEvent(0, EventKind.START, None, wrap_position(start))]
+    for i, t, _, locus in crossings:
+        refined = wrap_position(pos(t))
+        if residue(locus, refined) > REFINE_TOL:
+            raise DomainError(f"crossing of {locus.value} at t={t!r} not resolved to {REFINE_TOL}")
+        events.append(PathEvent(i, EventKind.LOCUS_CROSSING, locus, refined))
+        if locus in (LocusId.D_A, LocusId.D_B, LocusId.D_C):
+            events.append(PathEvent(i, EventKind.ORIENTATION_FLIP, locus, refined))
+    events.append(PathEvent(steps, EventKind.END, None, wrap_position(pos(t_end))))
+    return events
+
+
+def _outcome(trace, *args):
+    """The events of a trace, or the type and message of the error it raised."""
+    try:
+        return trace(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_trace_path_equals_the_per_crossing_reference():
+    # starts on p/q*pi points and where loci meet, so crossings tie in t and are ordered by
+    # name; integer and float velocities; all three step sizes; 1 to 2,000 steps, up to t = 100
+    rng = random.Random(18)
+    meets = [(2 * math.pi / 3, 4 * math.pi / 3), (math.pi, math.pi), (0.0, 0.0),
+             (4 * math.pi / 3, 2 * math.pi / 3), (math.pi, 0.0), (math.pi / 2, 3 * math.pi / 2)]
+    ties = 0
+    for n in range(3000):
+        kind = n % 3
+        if kind == 0:
+            start = rng.choice(meets)
+        elif kind == 1:
+            q = rng.choice((1, 2, 3, 4, 6, 8, 12, rng.randint(1, 60)))
+            start = tuple(rng.randrange(2 * q) * math.pi / q for _ in range(2))
+        else:
+            start = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+        if rng.random() < 0.5:
+            velocity = (float(rng.randint(-3, 3)), float(rng.randint(-3, 3)))
+        else:
+            velocity = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if velocity == (0.0, 0.0):
+            velocity = (1.0, 2.0)
+        step_size = rng.choice((0.05, 0.3, 1.0))
+        steps = round(10 ** rng.uniform(0.0, math.log10(100 / step_size)))  # t <= 100
+        args = (start, velocity, steps, step_size)
+        got = trace_path(*args)
+        assert got == _reference_trace(*args), args
+        ties += sum(e.kind is EventKind.LOCUS_CROSSING and f.kind is EventKind.LOCUS_CROSSING
+                    and e.step_index == f.step_index and e.refined_position == f.refined_position
+                    for e, f in zip(got, got[1:]))
+    assert ties >= 1000
+
+    # both refusals: too many crossings, and a crossing beyond float precision near 1e8
+    for args in (((0.1, 0.2), (1e6, 0.0), 10, 0.05), ((0.0, 0.0), (1e308, 1e308), 2, 0.05),
+                 ((1e8, 0.5), (1.0, 0.3), 200, 0.05), ((1e8 + 1.0, 2.0), (3.0, -2.0), 50, 0.3)):
+        got = _outcome(trace_path, *args)
+        assert isinstance(got, tuple) and got[0] is DomainError, args
+        assert got == _outcome(_reference_trace, *args), args

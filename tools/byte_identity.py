@@ -19,7 +19,10 @@ of multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
 4,000) seeded ``path`` commands from starts given as two p/q coordinates,
 three exact angles, decimal coordinates near a p/q point, or three
 ``--format degrees|radians`` angles drawn as the classify corpus draws them,
-with integer or float velocities and step sizes 0.05, 0.3 and 1.  ``plot``
+with integer or float velocities, step sizes 0.05, 0.3 and 1 and 1 to 40 steps.
+Then it runs 200 steps of 0.05 along every closed velocity (2π/10)·(n1, n2)
+of the path-sweep benchmark, either way, from a seeded decimal start and from
+a torsion point.  ``plot``
 prints the md5 of ``plot --samples 300 --seed 3`` with and without
 ``--anti``.  ``measure`` runs ``measure --samples N --seed S`` for N in
 {1, 2, 16383, 16384, 16385, 32771, 400000} (both sides of the scoring chunk
@@ -53,6 +56,7 @@ from fractions import Fraction
 
 from tritorus import cli
 from tritorus.angles import PiRational
+from tritorus.torus import LOCUS_EQUATIONS
 
 EXACT_MAX_ORDER = 24
 
@@ -153,6 +157,30 @@ def path_corpus(n: int, seed: int = 8) -> None:
         step_size = rng.choice(("0.05", "0.3", "1"))
         _run(["path", "--velocity", *velocity, "--steps", str(rng.randint(1, 40)),
               "--step-size", step_size, *_path_start(rng)])
+    _long_path_corpus(rng)
+
+
+def _closed_directions() -> list[tuple[int, int]]:
+    """Integer directions (n1, n2) with 1 <= n1 <= 12 and |n2| <= 12, parallel to no locus,
+    whose crossings over one period number 100 to 130 in all."""
+    forms = [(a, b) for a, b, _ in LOCUS_EQUATIONS.values()]
+    return [(n1, n2) for n1 in range(1, 13) for n2 in range(-12, 13)
+            if all(a * n1 + b * n2 for a, b in forms)
+            and 100 <= sum(abs(a * n1 + b * n2) for a, b in forms) <= 130]
+
+
+def _long_path_corpus(rng: random.Random) -> None:
+    """200 steps of 0.05 on closed paths: velocity (2*pi/10)*(n1, n2) for every closed
+    direction, either way, from a seeded start and from a torsion point."""
+    w = 2 * math.pi / 10
+    for n1, n2 in _closed_directions():
+        s = rng.choice((1, -1)) * w
+        velocity = [repr(s * n1), repr(s * n2)]
+        n = rng.choice((2, 3, 4, 6, 8, 12, 24))
+        for start in ([repr(rng.uniform(0, 2)) for _ in range(2)],
+                      [str(Fraction(2 * rng.randrange(n), n)) for _ in range(2)]):
+            _run(["path", "--velocity", *velocity, "--steps", "200", "--step-size", "0.05",
+                  "--", *start])
 
 
 def _run(argv: list[str]) -> None:
