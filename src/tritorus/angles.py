@@ -220,21 +220,29 @@ class TypeFlags(NamedTuple):
         return bool(self.right_vertices)
 
 
-def make_triple(alpha: PiRational, beta: PiRational, gamma: PiRational) -> AngleTriple:
-    """Validate three angles and infer the sheet from the sign of the sum."""
+def sheet_of(angles, zero, pi, tol) -> Sheet:
+    """The sheet of three angles whose sum is +-pi and which lie on its range, within ``tol``.
+
+    In the angles' own type: exact angles pass (ZERO, PI, ZERO), floats (0.0, math.pi,
+    torus.REFINE_TOL).  Raise ``SumNotPi`` or ``OutOfRange`` otherwise."""
+    alpha, beta, gamma = angles
     total = alpha + beta + gamma
-    if total == PI:
-        sheet = Sheet.PLUS
-        lo, hi = ZERO, PI
-    elif total == -PI:
-        sheet = Sheet.MINUS
-        lo, hi = -PI, ZERO
+    if abs(total - pi) <= tol:
+        sheet, lo, hi = Sheet.PLUS, zero, pi
+    elif abs(total + pi) <= tol:
+        sheet, lo, hi = Sheet.MINUS, -pi, zero
     else:
         raise SumNotPi(f"angle sum {total} is neither π nor -π")
-    for name, a in zip(VERTICES, (alpha, beta, gamma)):
-        if not (lo <= a <= hi):
+    below, above = lo - tol, hi + tol
+    for name, a in zip(VERTICES, angles):
+        if not (below <= a <= above):
             raise OutOfRange(f"angle {a} at {name} outside [{lo}, {hi}]")
-    return AngleTriple(alpha, beta, gamma, sheet)
+    return sheet
+
+
+def make_triple(alpha: PiRational, beta: PiRational, gamma: PiRational) -> AngleTriple:
+    """Validate three angles and infer the sheet from the sign of the sum."""
+    return AngleTriple(alpha, beta, gamma, sheet_of((alpha, beta, gamma), ZERO, PI, ZERO))
 
 
 #: The eight subsets of VERTICES, one shared frozenset each; bit i stands for VERTICES[i].

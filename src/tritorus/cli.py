@@ -17,14 +17,13 @@ from typing import Optional, Sequence, Union
 
 from . import measure as measure_mod
 from . import pathtrace, svgplot, symmetry, torus
-from .angles import VERTICES, DomainError, PiRational, make_triple
+from .angles import DomainError, PiRational, make_triple, sheet_of
 from .pathtrace import EventKind, trace_path, wrap_position
 from .torus import REFINE_TOL, TorusPoint
 
 #: A degrees/radians input is snapped to an exact rational multiple of pi
-#: with denominator up to this bound, when within FLOAT_TOL radians (inputs only).
+#: with denominator up to this bound, when within REFINE_TOL radians.
 MAX_SNAP_DENOMINATOR = 360
-FLOAT_TOL = 1e-9
 
 Angle = Union[PiRational, float]
 
@@ -48,27 +47,27 @@ def _fmt_angle(a: Angle) -> str:
 
 
 def parse_angle(text: str, mode: str) -> Angle:
+    if mode == "pi-rational":
+        return parse_pi_rational(text, "angle")
     try:
-        if mode == "pi-rational":
-            return PiRational.from_fraction(Fraction(text))
         value = float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"cannot parse angle {text!r}: {exc}") from None
     if not math.isfinite(value):
         raise ParseError(f"angle {text!r} is not finite")
     radians = math.radians(value) if mode == "degrees" else value
     snapped = Fraction(radians / math.pi).limit_denominator(MAX_SNAP_DENOMINATOR)
-    if abs(float(snapped) * math.pi - radians) <= FLOAT_TOL:
+    if abs(float(snapped) * math.pi - radians) <= REFINE_TOL:
         return PiRational.from_fraction(snapped)
     return radians
 
 
-def parse_pi_rational(text: str) -> PiRational:
+def parse_pi_rational(text: str, what: str = "coordinate") -> PiRational:
     # TypeError: argparse hands over [] for a coordinate given as a second "--"
     try:
         return PiRational.from_fraction(Fraction(text))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse coordinate {text!r}: {exc}") from None
+        raise ParseError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 class Report:
@@ -92,27 +91,12 @@ class Report:
 # the triangle of three angles, exact or float, and its classify report
 
 
-def float_sheet(alpha: float, beta: float, gamma: float) -> str:
-    """The sheet of three float angles, checked as ``make_triple`` does, within FLOAT_TOL."""
-    total = alpha + beta + gamma
-    if abs(total - math.pi) <= FLOAT_TOL:
-        sheet, lo, hi = "plus", 0.0, math.pi
-    elif abs(total + math.pi) <= FLOAT_TOL:
-        sheet, lo, hi = "minus", -math.pi, 0.0
-    else:
-        raise DomainError(f"angle sum {total!r} is neither π nor -π")
-    for name, a in zip(VERTICES, (alpha, beta, gamma)):
-        if not (lo - FLOAT_TOL <= a <= hi + FLOAT_TOL):
-            raise DomainError(f"angle at {name} outside [{lo}, {hi}]")
-    return sheet
-
-
 def _float_triangle(alpha: float, beta: float, gamma: float):
-    """(sheet, angles, point) of three float angles, checked by ``float_sheet``; the point is
-    rho = (2*beta, -2*alpha) wrapped, as ``point_facts`` arguments within REFINE_TOL."""
-    sheet = float_sheet(alpha, beta, gamma)
+    """(sheet, angles, point) of three float angles, checked by ``sheet_of`` within REFINE_TOL;
+    the point is rho = (2*beta, -2*alpha) wrapped, as ``point_facts`` arguments."""
+    sheet = sheet_of((alpha, beta, gamma), 0.0, math.pi, REFINE_TOL)
     xi1, xi2 = wrap_position((2.0 * beta, -2.0 * alpha))
-    return sheet, (alpha, beta, gamma), (xi1, xi2, math.pi, REFINE_TOL)
+    return sheet.value, (alpha, beta, gamma), (xi1, xi2, math.pi, REFINE_TOL)
 
 
 def _parse_three_angles(texts: Sequence[str], mode: str) -> list[Angle]:

@@ -84,31 +84,20 @@ def _segments(offset: tuple[float, float], direction: tuple[int, int]):
         )
 
 
-class SvgCanvas:
-    def __init__(self):
-        self.margin = 30
-        self.scale = (SIZE - 2 * self.margin) / TWO_PI
-        self.body: list[str] = []
+_MARGIN = 30
+_SCALE = (SIZE - 2 * _MARGIN) / TWO_PI
 
-    def xy(self, p: tuple[float, float]) -> tuple[float, float]:
-        # y axis points up in the mathematical picture; works alike on coordinate arrays
-        x = self.margin + p[0] * self.scale
-        y = SIZE - self.margin - p[1] * self.scale
-        return (x, y)
 
-    def fmt(self, p: tuple[float, float]) -> str:
-        x, y = self.xy(p)
-        return f"{x:.3f} {y:.3f}"
+def _xy(p: tuple[float, float]) -> tuple[float, float]:
+    # y axis points up in the mathematical picture; works alike on coordinate arrays
+    x = _MARGIN + p[0] * _SCALE
+    y = SIZE - _MARGIN - p[1] * _SCALE
+    return (x, y)
 
-    def add(self, element: str) -> None:
-        self.body.append(element)
 
-    def document(self) -> str:
-        head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
-            f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
-        )
-        return "\n".join([head, *self.body, "</svg>"]) + "\n"
+def _fmt(p: tuple[float, float]) -> str:
+    x, y = _xy(p)
+    return f"{x:.3f} {y:.3f}"
 
 
 def render_fundamental_domain(
@@ -116,22 +105,22 @@ def render_fundamental_domain(
     include_anti: bool = False,
 ) -> str:
     """Render the square, orientation regions, loci, torsion points, samples."""
-    cv = SvgCanvas()
+    body: list[str] = []
 
     # Orientation regions: positive above the diagonal, negative below.
-    pos_pts = " ".join(cv.fmt(p) for p in [(0, 0), (0, TWO_PI), (TWO_PI, TWO_PI)])
-    neg_pts = " ".join(cv.fmt(p) for p in [(0, 0), (TWO_PI, 0), (TWO_PI, TWO_PI)])
-    cv.add(f'<polygon class="region-positive" points="{pos_pts}" style="fill:#fff3b0"/>')
-    cv.add(f'<polygon class="region-negative" points="{neg_pts}" style="fill:#d9d9d9"/>')
+    pos_pts = " ".join(_fmt(p) for p in [(0, 0), (0, TWO_PI), (TWO_PI, TWO_PI)])
+    neg_pts = " ".join(_fmt(p) for p in [(0, 0), (TWO_PI, 0), (TWO_PI, TWO_PI)])
+    body.append(f'<polygon class="region-positive" points="{pos_pts}" style="fill:#fff3b0"/>')
+    body.append(f'<polygon class="region-negative" points="{neg_pts}" style="fill:#d9d9d9"/>')
 
     if samples is not None and len(samples):
         masks = _region_masks(samples)
-        px, py = cv.xy((samples[:, 0], samples[:, 1]))
+        px, py = _xy((samples[:, 0], samples[:, 1]))
         for x, y, is_obt, is_acu in zip(
             px.tolist(), py.tolist(), masks[Region.OBTUSE].tolist(), masks[Region.ACUTE].tolist()
         ):
             cls = "obtuse" if is_obt else ("acute" if is_acu else "boundary")
-            cv.add(
+            body.append(
                 f'<circle class="sample {cls}" cx="{x:.3f}" cy="{y:.3f}" '
                 f'r="1.2" style="fill:{_SAMPLE_COLOR[cls]};fill-opacity:0.5"/>'
             )
@@ -141,27 +130,29 @@ def render_fundamental_domain(
         if anti and not include_anti:
             continue
         family = "X" if anti else locus.value[0]
-        parts = [
-            f"M {cv.fmt(a)} L {cv.fmt(b)}" for a, b in _segments(*_locus_line(*equation))
-        ]
-        cv.add(
+        parts = [f"M {_fmt(a)} L {_fmt(b)}" for a, b in _segments(*_locus_line(*equation))]
+        body.append(
             f'<path class="locus" id="locus-{locus.value}" d="{" ".join(parts)}" '
             f'style="fill:none;{_LOCUS_STYLE[family]}"/>'
         )
 
     # Domain border drawn on top of the regions.
-    x0, y0 = cv.xy((0.0, TWO_PI))
-    side = TWO_PI * cv.scale
-    cv.add(
+    x0, y0 = _xy((0.0, TWO_PI))
+    side = TWO_PI * _SCALE
+    body.append(
         f'<rect class="border" x="{x0:.3f}" y="{y0:.3f}" width="{side:.3f}" '
         f'height="{side:.3f}" style="fill:none;stroke:#000000;stroke-width:2"/>'
     )
 
     for p in _TORSION_POINTS:
-        px, py = cv.xy(p)
-        cv.add(
+        px, py = _xy(p)
+        body.append(
             f'<circle class="torsion" cx="{px:.3f}" cy="{py:.3f}" r="4" '
             f'style="fill:#000000"/>'
         )
 
-    return cv.document()
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
+    )
+    return "\n".join([head, *body, "</svg>"]) + "\n"

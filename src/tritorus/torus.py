@@ -58,7 +58,8 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
 #: The period of each coordinate, in float radians.
 TWO_PI = 2.0 * math.pi
 
-#: Two float torus values (radians) agree when their residue mod 2*pi is at most this.
+#: Two float torus values (radians) agree when their residue mod 2*pi is at most this; float
+#: angle sums and ranges (``angles.sheet_of``) and the snapping of float input use it too.
 REFINE_TOL = 1e-9
 
 

@@ -17,9 +17,11 @@ from tritorus.angles import (
     SumNotPi,
     degenerate_similar,
     make_triple,
+    sheet_of,
     taxonomy,
     type_flags,
 )
+from tritorus.torus import REFINE_TOL
 
 
 def pr(n, d=1):
@@ -203,6 +205,70 @@ class TestMakeTriple:
     def test_readback_identity(self):
         t = make_triple(pr(1, 7), pr(2, 7), pr(4, 7))
         assert t.angles == (pr(1, 7), pr(2, 7), pr(4, 7))
+
+
+def _sheet_or_refusal(angles, zero, pi, tol):
+    """``sheet_of``'s sheet, or its error class and the vertices it names (none for a sum)."""
+    try:
+        return sheet_of(angles, zero, pi, tol)
+    except (SumNotPi, OutOfRange) as exc:
+        named = [v for v in VERTICES if f" at {v} outside [" in str(exc)]
+        return type(exc), named
+
+
+def _sheet_check_grid(n=24):
+    """Every triple of multiples of pi/n on both sheets, as numerators of pi/n; each with one
+    angle moved by +-1, which breaks the sum; each with one angle moved by -1 and another by
+    +1, which holds the sum and pushes an angle past 0 or pi where it was at 0 or pi."""
+    grid = []
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            for sign in (1, -1):
+                grid.append([sign * k for k in (k1, k2, n - k1 - k2)])
+    out = list(grid)
+    for ks in grid:
+        for i in range(3):
+            for d in (1, -1):
+                out.append([k + d * (j == i) for j, k in enumerate(ks)])
+            for j in range(3):
+                if j != i:
+                    out.append([k - (m == i) + (m == j) for m, k in enumerate(ks)])
+    return out
+
+
+def test_sheet_of_agrees_on_exact_and_float_angles():
+    # the one sheet-and-range rule, instantiated on p/q*pi and on radians
+    n = 24
+    triples = _sheet_check_grid(n)
+    assert len(triples) == 650 * 13
+    seen = set()
+    for ks in triples:
+        exact = _sheet_or_refusal([PiRational(k, n) for k in ks], ZERO, PI, ZERO)
+        floating = _sheet_or_refusal([PiRational(k, n).radians for k in ks], 0.0, math.pi,
+                                     REFINE_TOL)
+        assert floating == exact, ks
+        seen.add(exact if isinstance(exact, Sheet) else exact[0])
+    assert seen == {Sheet.PLUS, Sheet.MINUS, SumNotPi, OutOfRange}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sheet_of_float_tolerance_edge(sign):
+    sheet = Sheet.PLUS if sign == 1 else Sheet.MINUS
+
+    def check(*angles):
+        return sheet_of([sign * a for a in angles], 0.0, math.pi, REFINE_TOL)
+
+    for e in (5e-10, -5e-10):  # within REFINE_TOL of a bound: accepted
+        assert check(1.1, 1.2, math.pi - 2.3 + e) is sheet
+        assert check(e, 1.2, math.pi - 1.2 - e) is sheet
+        assert check(math.pi + abs(e), -abs(e) / 2, -abs(e) / 2) is sheet
+    for e in (2e-9, -2e-9):  # beyond it: refused
+        with pytest.raises(SumNotPi):
+            check(1.1, 1.2, math.pi - 2.3 + e)
+    with pytest.raises(OutOfRange, match=" at A outside "):
+        check(-2e-9, 1.2, math.pi - 1.2 + 2e-9)
+    with pytest.raises(OutOfRange, match=" at A outside "):
+        check(math.pi + 2e-9, -1e-9, -1e-9)
 
 
 class TestTaxonomy:

@@ -391,19 +391,20 @@ class TestBadInput:
 
 
 @pytest.mark.parametrize(
-    "fmt, angles",
+    "fmt, angles, line",
     [
-        ([], ["1/3", "1/3", "1/2"]),
-        (["--format", "degrees"], ["10", "10", "10"]),
-        (["--format", "radians"], ["1", "1", "1.14159265"]),
-        (["--format", "radians"], ["-0.5", "1.2", "2.44159265358979"]),
-        (["--format", "radians"], ["1.7e308", "1.7e308", "0"]),
-        (["--format", "radians"], ["1", "1e308", "-1e308"]),
+        ([], ["1/3", "1/3", "1/2"], None),
+        (["--format", "degrees"], ["10", "10", "10"], None),
+        (["--format", "radians"], ["1", "1", "1.14159265"], None),
+        (["--format", "radians"], ["-0.5", "1.2", "2.44159265358979"],
+         "error: angle -0.5 at A outside [0.0, 3.141592653589793]"),
+        (["--format", "radians"], ["1.7e308", "1.7e308", "0"], None),
+        (["--format", "radians"], ["1", "1e308", "-1e308"], None),
     ],
     ids=["exact-sum", "degrees-sum", "float-sum", "float-out-of-range",
          "start-overflows-on-the-torus", "start-overflows-but-the-sum-is-finite"],
 )
-def test_invalid_three_angle_start_exits_2(capsys, fmt, angles):
+def test_invalid_three_angle_start_exits_2(capsys, fmt, angles, line):
     # the three-angle start is checked as the triangle classify would check, before its
     # torus point is computed, so an angle that overflows 2*angle is still a bad triangle
     code, out, err = run(
@@ -413,6 +414,8 @@ def test_invalid_three_angle_start_exits_2(capsys, fmt, angles):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    if line is not None:  # a float angle out of range names itself, as an exact one does
+        assert err == line + "\n"
     assert run(capsys, "classify", *fmt, "--", *angles) == (2, "", err)
 
 

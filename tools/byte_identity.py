@@ -38,8 +38,11 @@ with its exit code, stdout and stderr.  The angles are nan, ±inf, ±1e400,
 ±1.7e308 or ±1e308 beside small angles or beside each other, wrong sums,
 out-of-range angles, and one, two or four angles (two are ``path``'s
 coordinates); ``path`` also starts from two bad coordinates (non-finite,
-beyond a float, unparsable).  Run it once on each tree, with PYTHONPATH
-pointing at that tree's ``src``, and compare the outputs with ``cmp``.
+beyond a float, unparsable).  Last, in degrees and in radians, it runs float
+triples at the edge of the 1e-9 tolerance on both sheets: sums that miss ±π by
+5e-10 (accepted) or 2e-9 (refused), and an angle 2e-9 beyond 0 or π with the
+sum held.  Run it once on each tree, with PYTHONPATH pointing at that tree's
+``src``, and compare the outputs with ``cmp``.
 """
 
 from __future__ import annotations
@@ -259,16 +262,34 @@ def _refused_triples() -> list[list[str]]:
     return out + [list(t) for t in _BAD_TRIPLES] + [["1/2"], ["1/2", "1/2"], ["1/3"] * 4]
 
 
+def _edge_triples() -> list[list[float]]:
+    """Float triples in radians at the edge of the 1e-9 tolerance, on both sheets: 1.1 and
+    1.2 beside a third angle whose sum misses pi by 5e-10 (accepted) or 2e-9 (refused), and
+    triples with the sum held whose angle at A or B lies 2e-9 beyond 0 or pi (a value within
+    1e-9 of 0 or pi snaps to it, so only a larger miss reaches the float rule)."""
+    d = 2e-9
+    out = [[1.1, 1.2, math.pi - 2.3 + e] for e in (5e-10, -5e-10, d, -d)]
+    out += [[-d, 1.2, math.pi - 1.2 + d], [1.2, -d, math.pi - 1.2 + d],
+            [math.pi + d, 1.1, -1.1 - d], [1.1, math.pi + d, -1.1 - d]]
+    return out + [[-a for a in t] for t in out]
+
+
+def _run_triangle_commands(mode: str, angles: list[str]) -> None:
+    for command in ("classify", "map"):
+        _run([command, "--format", mode, "--", *angles])
+    _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--", *angles])
+
+
 def refuse_corpus() -> None:
     for mode in ("pi-rational", "degrees", "radians"):
         for angles in _refused_triples():
-            for command in ("classify", "map"):
-                _run([command, "--format", mode, "--", *angles])
-            _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--",
-                  *angles])
+            _run_triangle_commands(mode, angles)
         for coordinates in _BAD_COORDINATES:
             _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--",
                   *coordinates])
+    for mode, to_mode in (("degrees", math.degrees), ("radians", float)):
+        for triple in _edge_triples():
+            _run_triangle_commands(mode, [repr(to_mode(a)) for a in triple])
 
 
 if __name__ == "__main__":
