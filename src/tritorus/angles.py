@@ -10,9 +10,7 @@ A triangle similarity class lives on one of two sheets: angle sums +pi
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -94,7 +92,8 @@ class PiRational:
     def __sub__(self, other: "PiRational") -> "PiRational":
         if not isinstance(other, PiRational):
             return NotImplemented
-        return self + -other
+        return PiRational(self.numerator * other.denominator - other.numerator * self.denominator,
+                          self.denominator * other.denominator)
 
     def __neg__(self) -> "PiRational":
         return PiRational(-self.numerator, self.denominator)
@@ -245,42 +244,13 @@ def make_triple(alpha: PiRational, beta: PiRational, gamma: PiRational) -> Angle
     return AngleTriple(alpha, beta, gamma, sheet_of((alpha, beta, gamma), ZERO, PI, ZERO))
 
 
-#: The eight subsets of VERTICES, one shared frozenset each; bit i stands for VERTICES[i].
-_VERTEX_SETS = tuple(
-    frozenset(v for i, v in enumerate(VERTICES) if bits >> i & 1) for bits in range(8)
-)
-
-
-def type_flags(absang, eq, zero, half) -> TypeFlags:
-    """The flag rule over the absolute angle triple, under the equality ``eq``.
-
-    ``zero`` and ``half`` are 0 and pi/2 in the angles' own type.  Equal
-    angles at two vertices put the apex at the third; two zero angles
-    (a permutation of (+-pi, 0, 0)) or two apexes make the class equilateral.
-    Equal patterns share one TypeFlags, whose vertex sets are members of ``_VERTEX_SETS``.
-    """
-    a, b, c = absang
-    apexes = eq(b, c) | eq(a, c) << 1 | eq(a, b) << 2
-    zeros = eq(a, zero) + eq(b, zero) + eq(c, zero)
-    equilateral = zeros >= 2 or apexes & (apexes - 1) != 0  # two or more apex bits
-    iso = 7 if equilateral else apexes
-    degenerate = zeros > 0
-    biggest = max(absang)
-    slanted = not degenerate and not eq(biggest, half)
-    return _flags(equilateral, iso, eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2,
-                  degenerate, slanted and biggest > half, slanted and biggest < half)
-
-
-@functools.cache
-def _flags(equilateral, iso, right, degenerate, obtuse, acute) -> TypeFlags:
-    """The one shared TypeFlags of a pattern; bit i of ``iso`` and ``right`` is VERTICES[i]."""
-    return TypeFlags(equilateral, _VERTEX_SETS[iso], _VERTEX_SETS[right], not iso, degenerate,
-                     obtuse, acute)
-
-
 def taxonomy(t: AngleTriple) -> TypeFlags:
-    """Classify a triple into the six main types (extended to degenerates)."""
-    return type_flags(tuple(abs(a) for a in t.angles), operator.eq, ZERO, HALF_PI)
+    """Classify a triple into the six main types (extended to degenerates): the flags that
+    ``torus.point_facts`` decides at its point ``rho(t)``."""
+    from .torus import point_facts, rho  # local import: torus builds on angles
+
+    k1, k2, n = rho(t).lattice()
+    return point_facts(2 * k1, 2 * k2, n, 0)[1]
 
 
 def degenerate_similar(a: AngleTriple, b: AngleTriple) -> bool:

@@ -69,7 +69,8 @@ def trace_path(
     """Trace the line and emit Start, crossings, flips, and End in step order.
 
     A crossing at t in (0, steps*step_size] is in the step i with
-    i*step_size < t <= (i+1)*step_size, and then in order of t and locus name.
+    i*step_size < t <= (i+1)*step_size, and then in order of t; crossings at one point,
+    whose positions agree within REFINE_TOL, are in order of locus name.
     Raises DomainError past MAX_CROSSINGS, or when a crossing misses REFINE_TOL.
     """
     if velocity == (0.0, 0.0):
@@ -101,7 +102,16 @@ def trace_path(
                 elif (i + 1) * step_size < t:
                     i += 1
                 crossings.append((i, t, name, a, b, hpi, locus, flips))
-    crossings.sort(key=itemgetter(0, 1, 2))
+    crossings.sort(key=itemgetter(0, 1))
+    # crossings in one step whose positions agree within REFINE_TOL meet at one point: their
+    # t differ in the last bits, so sort each such run (k joined to k - 1) by name instead
+    tie = REFINE_TOL / math.hypot(vx, vy)
+    joined = {k for k, (c, d) in enumerate(zip(crossings, crossings[1:]), 1)
+              if d[1] - c[1] <= tie and d[0] == c[0]}
+    for k in sorted(joined):
+        while k in joined and crossings[k - 1][2] > crossings[k][2]:
+            crossings[k - 1], crossings[k] = crossings[k], crossings[k - 1]
+            k -= 1
 
     crossing, flip = EventKind.LOCUS_CROSSING, EventKind.ORIENTATION_FLIP
     events = [PathEvent(0, EventKind.START, None, wrap_position(start))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .torus import LocusId, TorusPoint, point_loci
+from .torus import LocusId, TorusPoint, point_facts
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -159,7 +159,7 @@ _MIRRORS = frozenset((LocusId.D_A, LocusId.D_B, LocusId.D_C, LocusId.I_A, LocusI
 def multiplicity(p: TorusPoint) -> int:
     """Order of the stabilizer; equals 12 / orbit size."""
     k1, k2, n = p.lattice()
-    return multiplicity_on(point_loci(2 * k1, 2 * k2, n, 0))
+    return multiplicity_on(point_facts(2 * k1, 2 * k2, n, 0)[2])
 
 
 def multiplicity_on(loci) -> int:

@@ -9,11 +9,12 @@ degenerate borders together.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .angles import ZERO, AngleTriple, PiRational, Sheet, TypeFlags, type_flags
+from .angles import VERTICES, ZERO, AngleTriple, PiRational, Sheet, TypeFlags
 
 
 class OrientationSign(Enum):
@@ -138,14 +139,17 @@ def wrap(u, v, half):
     return (u - v + half) % (2 * half) - half
 
 
-def point_loci(x, y, half, tol) -> tuple[LocusId, ...]:
-    """The loci of (x, y): those whose ``LOCUS_EQUATIONS`` residue is within ``tol``,
-    in units where pi is half, plus ``Equilateral3`` where I_A and I_C meet."""
-    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items()
-            if abs(wrap(p * x + q * y, h * half, half)) <= tol]
-    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
-        loci.append(LocusId.EQUILATERAL3)
-    return tuple(loci)
+#: The eight subsets of VERTICES, one shared frozenset each; bit i stands for VERTICES[i].
+_VERTEX_SETS = tuple(
+    frozenset(v for i, v in enumerate(VERTICES) if bits >> i & 1) for bits in range(8)
+)
+
+
+@functools.cache
+def _flags(equilateral, iso, right, degenerate, obtuse, acute) -> TypeFlags:
+    """The one shared TypeFlags of a pattern; bit i of ``iso`` and ``right`` is VERTICES[i]."""
+    return TypeFlags(equilateral, _VERTEX_SETS[iso], _VERTEX_SETS[right], not iso, degenerate,
+                     obtuse, acute)
 
 
 def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
@@ -153,14 +157,32 @@ def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
 
     A lattice point 2*pi*(k1, k2)/n passes (2*k1, 2*k2, n, 0), all ints, and a float point
     (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when their ``wrap`` is within
-    ``tol``, and a point is on a locus when its equation holds so (``point_loci``); the sign
-    is 0 when degenerate, else that of y - x.
+    ``tol``.  On the doubled |angles| at (A, B, C), equal angles at two vertices put the apex
+    at the third, two zero angles or two apexes make the class equilateral, and a vertex is
+    right where its doubled angle is pi.  The loci are those whose ``LOCUS_EQUATIONS``
+    congruence holds, plus ``Equilateral3`` where I_A and I_C meet.  The sign is 0 when
+    degenerate, else that of y - x.
     """
+    def eq(u, v):
+        return abs(wrap(u, v, half)) <= tol
+
     a, b, c = doubled_angles(min(x, y), max(x, y), 2 * half)
-    flags = type_flags((b, a, c) if y > x else (a, b, c),
-                       lambda u, v: abs(wrap(u, v, half)) <= tol, 0, half)
-    sign = 0 if flags.degenerate else 1 if y > x else -1
-    return sign, flags, point_loci(x, y, half, tol)
+    if y > x:
+        a, b = b, a
+    apexes = eq(b, c) | eq(a, c) << 1 | eq(a, b) << 2
+    zeros = eq(a, 0) + eq(b, 0) + eq(c, 0)
+    equilateral = zeros >= 2 or apexes & (apexes - 1) != 0  # two or more apex bits
+    degenerate = zeros > 0
+    biggest = max(a, b, c)
+    slanted = not degenerate and not eq(biggest, half)
+    flags = _flags(equilateral, 7 if equilateral else apexes,
+                   eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2,
+                   degenerate, slanted and biggest > half, slanted and biggest < half)
+    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items()
+            if abs(wrap(p * x + q * y, h * half, half)) <= tol]  # eq, inlined for speed
+    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
+        loci.append(LocusId.EQUILATERAL3)
+    return 0 if degenerate else 1 if y > x else -1, flags, tuple(loci)
 
 
 #: ``OrientationSign`` by the sign that ``point_facts`` returns.
@@ -211,7 +233,7 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
 def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     """Exact membership in a distinguished subgroup or coset."""
     k1, k2, n = p.lattice()
-    return locus in point_loci(2 * k1, 2 * k2, n, 0)
+    return locus in point_facts(2 * k1, 2 * k2, n, 0)[2]
 
 
 class Classification(NamedTuple):

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tritorus import torus
 from tritorus.angles import (
     HALF_PI,
     PI,
@@ -19,7 +20,6 @@ from tritorus.angles import (
     make_triple,
     sheet_of,
     taxonomy,
-    type_flags,
 )
 from tritorus.torus import REFINE_TOL
 
@@ -153,30 +153,16 @@ class TestIntPairAgainstFraction:
         assert pr(1) != 1
 
 
-def _old_vertex_sets(absang, eq, zero, half):
-    """The vertex sets as ``type_flags`` built them per call, one new frozenset each."""
-    a, b, c = absang
-    apexes = frozenset(v for v, x, y in (("C", a, b), ("B", a, c), ("A", b, c)) if eq(x, y))
-    zeros = sum(1 for x in absang if eq(x, zero))
-    iso = frozenset(VERTICES) if zeros >= 2 or len(apexes) > 1 else apexes
-    right = frozenset(v for v, x in zip(VERTICES, absang) if eq(x, half))
-    return iso, right
-
-
 def test_type_flags_vertex_sets_are_shared_and_unchanged():
-    """Every pattern of equal pairs, zeros and right angles gives the old sets, shared."""
+    """Every iso x right bit pattern names its vertices, bit i for VERTICES[i], and equal
+    patterns share one frozenset each."""
     seen = {}
-    for pairs, zeros, halves in product(product((False, True), repeat=3), repeat=3):
-        equal = {frozenset(p) for p, on in zip(("ab", "ac", "bc"), pairs) if on}
-        equal |= {frozenset((x, "0")) for x, on in zip("abc", zeros) if on}
-        equal |= {frozenset((x, "h")) for x, on in zip("abc", halves) if on}
-
-        def eq(x, y):
-            return x == y or frozenset((x, y)) in equal
-
-        flags = type_flags(("a", "b", "c"), eq, "0", "h")
+    for iso, right in product(range(8), repeat=2):
+        flags = torus._flags(iso == 7, iso, right, False, False, False)
         got = (flags.isosceles_vertices, flags.right_vertices)
-        assert got == _old_vertex_sets(("a", "b", "c"), eq, "0", "h")
+        assert got == tuple(frozenset(compress(VERTICES, (bits & 1, bits & 2, bits & 4)))
+                            for bits in (iso, right))
+        assert flags.scalene == (iso == 0)
         for s in got:
             assert seen.setdefault(s, s) is s
     assert len(seen) == 8

@@ -358,12 +358,20 @@ class TestBadInput:
             ["path", "1e400", "0", "--velocity", "1", "0", "--steps", "2"],
             ["invert", "--", "0", "--"],
             ["path", "0", "0", "--velocity", "1", "0", "--steps", "1" + "0" * 309],
+            ["path", "0", "0", "--velocity", "1", "0", "--step-size", "0"],
+            ["path", "0", "0", "--velocity", "1", "0", "--step-size", "-1"],
+            ["path", "0", "0", "--velocity", "1", "0", "--step-size", "nan"],
+            ["path", "0", "0", "--velocity", "1", "0", "--step-size", "inf"],
+            ["path", "1e308", "0", "--velocity", "1", "0", "--steps", "2"],
+            ["map", "--format", "radians", "1", "1", "1.14159265"],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
             "steps-zero", "steps-negative", "measure-samples-negative", "plot-samples-negative",
             "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
-            "coordinate-after-second-double-dash", "steps-beyond-float",
+            "coordinate-after-second-double-dash", "steps-beyond-float", "step-size-zero",
+            "step-size-negative", "step-size-nan", "step-size-inf", "start-radians-overflow",
+            "map-float-angles",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):

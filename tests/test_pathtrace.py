@@ -34,6 +34,11 @@ class TestTracePath:
         with pytest.raises(ZeroVelocity):
             trace_path((0.1, 0.2), (0.0, 0.0), 10, 0.1)
 
+    @pytest.mark.parametrize("steps, step_size", [(0, 0.1), (-1, 0.1), (10, 0.0), (10, -0.1)])
+    def test_bad_steps_rejected(self, steps, step_size):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            trace_path((0.1, 0.2), (1.0, 0.0), steps, step_size)
+
     def test_start_and_end_events(self):
         events = trace_path((0.5, 1.5), (1.0, 0.0), 10, 0.1)
         assert events[0].kind is EventKind.START
@@ -191,7 +196,8 @@ def test_residue_holds_exactly_on_the_printed_loci():
 
 def _reference_trace(start, velocity, steps, step_size):
     """trace_path's closed form, written per crossing with the public helpers: a ``pos``
-    closure, ``wrap_position``, ``residue`` and a sort on ``e[:3]``."""
+    closure, ``wrap_position``, ``residue``, a sort on ``e[:2]`` and runs of crossings in one
+    step, each within REFINE_TOL of position of the one before, sorted by name."""
     if velocity == (0.0, 0.0):
         raise ZeroVelocity("velocity must be nonzero")
 
@@ -217,7 +223,14 @@ def _reference_trace(start, velocity, steps, step_size):
                 elif (i + 1) * step_size < t:
                     i += 1
                 crossings.append((i, t, locus.value, locus))
-    crossings.sort(key=lambda e: e[:3])
+    tie = REFINE_TOL / math.hypot(*velocity)
+    runs = []
+    for e in sorted(crossings, key=lambda e: e[:2]):
+        if runs and e[0] == runs[-1][-1][0] and e[1] - runs[-1][-1][1] <= tie:
+            runs[-1].append(e)
+        else:
+            runs.append([e])
+    crossings = [e for run in runs for e in sorted(run, key=lambda e: e[2])]
 
     events = [PathEvent(0, EventKind.START, None, wrap_position(start))]
     for i, t, _, locus in crossings:
@@ -240,8 +253,9 @@ def _outcome(trace, *args):
 
 
 def test_trace_path_equals_the_per_crossing_reference():
-    # starts on p/q*pi points and where loci meet, so crossings tie in t and are ordered by
-    # name; integer and float velocities; all three step sizes; 1 to 2,000 steps, up to t = 100
+    # starts on p/q*pi points and where loci meet, so crossings meet at one point and are
+    # ordered by name; integer and float velocities; all three step sizes; 1 to 2,000 steps,
+    # up to t = 100
     rng = random.Random(18)
     meets = [(2 * math.pi / 3, 4 * math.pi / 3), (math.pi, math.pi), (0.0, 0.0),
              (4 * math.pi / 3, 2 * math.pi / 3), (math.pi, 0.0), (math.pi / 2, 3 * math.pi / 2)]
@@ -266,9 +280,14 @@ def test_trace_path_equals_the_per_crossing_reference():
         args = (start, velocity, steps, step_size)
         got = trace_path(*args)
         assert got == _reference_trace(*args), args
-        ties += sum(e.kind is EventKind.LOCUS_CROSSING and f.kind is EventKind.LOCUS_CROSSING
-                    and e.step_index == f.step_index and e.refined_position == f.refined_position
-                    for e, f in zip(got, got[1:]))
+        # adjacent crossings at one point are in name order
+        crossings = [e for e in got if e.kind is EventKind.LOCUS_CROSSING]
+        for e, f in zip(crossings, crossings[1:]):
+            apart = math.hypot(*(wrap(u, v, math.pi)
+                                 for u, v in zip(e.refined_position, f.refined_position)))
+            if e.step_index == f.step_index and apart <= REFINE_TOL / 2:
+                assert e.locus.value < f.locus.value, args
+                ties += 1
     assert ties >= 1000
 
     # both refusals: too many crossings, and a crossing beyond float precision near 1e8

@@ -127,6 +127,14 @@ class TestGroupStructure:
         for g in all_elements():
             assert element_of_word(word_of(g)) == g
 
+    def test_element_and_word_names(self):
+        names = [(str(g), str(word_of(g))) for g in all_elements()]
+        assert names == [
+            ("e", "1"), ("(123)", "r^4"), ("(132)", "r^2"), ("(12)", "r^3s"), ("(13)", "r^5s"),
+            ("(23)", "rs"), ("-e", "r^3"), ("-(123)", "r"), ("-(132)", "r^5"), ("-(12)", "s"),
+            ("-(13)", "r^2s"), ("-(23)", "r^4s"),
+        ]
+
 
 class TestAction:
     def test_negation_is_inverse(self):
@@ -215,6 +223,36 @@ class TestOrbitsAndMultiplicity:
                 f.equilateral, f.scalene, f.degenerate, f.obtuse, f.acute,
                 len(f.isosceles_vertices), len(f.right_vertices),
             )
+
+
+def partitions_into_three_parts(n):
+    """Partitions of n into at most 3 parts: the absolute classes of triangles with angles
+    in (pi/n)*Z, one multiset of |angles|*n/pi each."""
+    return round((n + 3) ** 2 / 12)
+
+
+class TestOrbitCount:
+    def test_three_counts_of_the_orbits_on_the_n_torsion_points(self):
+        # distinct least images, orbit-stabilizer, and distinct orbits, through the public API
+        for n in range(1, 41):
+            grid = [TorusPoint.from_lattice(k1, k2, n) for k1 in range(n) for k2 in range(n)]
+            want = partitions_into_three_parts(n)
+            assert len({canonical_rep(p) for p in grid}) == want, n
+            assert sum(multiplicity(p) for p in grid) == 12 * want, n
+            assert len({orbit(p) for p in grid}) == want, n
+
+    def test_burnside_count_of_the_d6_matrices(self):
+        # |Fix_n(g)| = gcd(d1, n) * gcd(d2, n) for the Smith invariants d1 | d2 of M_g - I,
+        # where an invariant 0 counts n (as math.gcd(0, n) = n)
+        invariants = []
+        for g in all_elements():
+            (m00, m01), (m10, m11) = g.matrix()
+            d1 = math.gcd(m00 - 1, m01, m10, m11 - 1)
+            det = abs((m00 - 1) * (m11 - 1) - m01 * m10)
+            invariants.append((d1, det // d1 if d1 else 0))
+        for n in range(1, 10_001):
+            fixed = sum(math.gcd(d1, n) * math.gcd(d2, n) for d1, d2 in invariants)
+            assert fixed == 12 * partitions_into_three_parts(n), n
 
 
 class TestCanonicalRep:

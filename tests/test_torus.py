@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -368,7 +370,8 @@ class TestClassify:
         assert LocusId.R_A in c.loci
 
     def test_flags_agree_with_taxonomy_of_the_preimage(self):
-        # the numerator flags against taxonomy of the built triangle, at every point of order <= 24
+        # taxonomy reads point_facts at rho of the built triangle, so this holds that rho takes
+        # the first preimage back to p; the oracle test below checks the flags themselves
         for n in range(1, 25):
             for k1 in range(n):
                 for k2 in range(n):
@@ -384,6 +387,32 @@ class TestClassify:
                 pre = rho_preimages(p)
                 flags = {taxonomy(t) for t in pre}
                 assert len(flags) == 1
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+def test_classify_agrees_with_the_benchmark_oracle_to_order_24():
+    # The benchmark's oracles are written apart from tritorus and read the flags off the
+    # loci.  Their R loci use n // 2, so each point 2*pi*(k1, k2)/n is asked at level 2n.
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    checked = 0
+    for n in range(1, 25):
+        for k1 in range(n):
+            for k2 in range(n):
+                c = classify(TorusPoint.from_lattice(k1, k2, n))
+                want = oracles.classify(2 * k1, 2 * k2, 2 * n)
+                got = {
+                    "orientation": c.orientation.value,
+                    "loci": {locus.value for locus in c.loci},
+                    "multiplicity": c.multiplicity,
+                    **{name: getattr(c.flags, name) for name in c.flags._fields},
+                }
+                assert got == {key: want[key] for key in got}, (k1, k2, n)
+                checked += 1
+    assert checked == 4900
 
 
 class TestProjectRelative:
