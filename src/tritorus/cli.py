@@ -201,6 +201,8 @@ def cmd_orbit(args) -> int:
 def _check_sampling(args) -> None:
     if args.samples < 0:
         raise ParseError("--samples must not be negative")
+    if args.samples > sys.maxsize // 16:  # more 16-byte rows than an array can index
+        raise ParseError("--samples is too large")
     if args.seed < 0:
         raise ParseError("--seed must not be negative")
 
@@ -218,8 +220,7 @@ def cmd_measure(args) -> int:
         report.add("mc.algorithm", measure_mod.RNG_ALGORITHM)
         report.add("mc.seed", args.seed)
         report.add("mc.samples", args.samples)
-        xi = measure_mod.sample_uniform(args.seed, args.samples)
-        for region, count in measure_mod.region_counts(xi).items():
+        for region, count in measure_mod.sample_counts(args.seed, args.samples).items():
             est = measure_mod.McEstimate.from_count(count, args.samples, args.seed)
             report.add(f"mc.{region.value}.probability", _fmt_float(est.probability))
             report.add(f"mc.{region.value}.stderr", _fmt_float(est.standard_error))
@@ -282,7 +283,10 @@ def cmd_plot(args) -> int:
     _check_sampling(args)
     samples = None
     if args.samples > 0:
-        samples = measure_mod.sample_uniform(args.seed, args.samples)
+        try:
+            samples = measure_mod.sample_uniform(args.seed, args.samples)
+        except MemoryError:
+            raise ParseError("--samples does not fit in memory") from None
     svg = svgplot.render_fundamental_domain(samples=samples, include_anti=args.anti)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 #: Identity of the deterministic generator backing ``sample_uniform``.
 RNG_ALGORITHM = "numpy-pcg64"
 
-#: Samples scored at a time, so scoring temporaries stay bounded for any n.
+#: Samples drawn and scored at a time, so memory stays bounded for any n.
 _CHUNK = 1 << 14
 
 
@@ -135,14 +135,23 @@ def locus_length(locus: LocusId) -> float:
     return TWO_PI * math.sqrt((dx * dx + dy * dy - dx * dy) / 2.0)
 
 
-def sample_uniform(seed: int, n: int) -> np.ndarray:
-    """n i.i.d. uniform points on [0, 2*pi)^2, deterministic given seed."""
+def _draws(seed: int, n: int, rows: int):
+    """n uniform points of seed's rng.uniform(0, 2*pi) stream, ``rows`` at a time in one buffer."""
     import numpy as np  # only sampling needs numpy; it costs most of the import time
 
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, TWO_PI, size=(n, 2))
+    buffer = np.empty((min(n, rows), 2))
+    for start in range(0, n, rows):
+        block = rng.random(out=buffer[:n - start])
+        block *= TWO_PI
+        yield block
+
+
+def sample_uniform(seed: int, n: int) -> np.ndarray:
+    """n i.i.d. uniform points on [0, 2*pi)^2, deterministic given seed."""
+    return next(_draws(seed, n, n))
 
 
 def _region_masks(xi: np.ndarray) -> dict[Region, np.ndarray]:
@@ -169,20 +178,29 @@ def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
     return _region_masks(xi)[region]
 
 
-def region_counts(xi: np.ndarray) -> dict[Region, int]:
-    """Number of samples in each region, scored ``_CHUNK`` rows at a time."""
+def _counts(chunks) -> dict[Region, int]:
     import numpy as np
 
     counts = dict.fromkeys(Region, 0)
-    for start in range(0, len(xi), _CHUNK):
-        for region, mask in _region_masks(xi[start:start + _CHUNK]).items():
+    for chunk in chunks:
+        for region, mask in _region_masks(chunk).items():
             counts[region] += int(np.count_nonzero(mask))
     return counts
 
 
+def region_counts(xi: np.ndarray) -> dict[Region, int]:
+    """Number of samples in each region, scored ``_CHUNK`` rows at a time."""
+    return _counts(xi[start:start + _CHUNK] for start in range(0, len(xi), _CHUNK))
+
+
+def sample_counts(seed: int, n: int) -> dict[Region, int]:
+    """``region_counts(sample_uniform(seed, n))``, drawn and scored ``_CHUNK`` rows at a time."""
+    return _counts(_draws(seed, n, _CHUNK))
+
+
 def estimate_probability(region: Region, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the uniform-measure fraction of a region."""
-    return estimate_from_samples(sample_uniform(seed, n), region, seed)
+    return McEstimate.from_count(sample_counts(seed, n)[region], n, seed)
 
 
 def estimate_from_samples(xi: np.ndarray, region: Region, seed: int) -> McEstimate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Optional
 
@@ -47,7 +48,10 @@ _TORSION_POINTS = (
     (3 * math.pi / 2, math.pi / 2),
 )
 
-_SAMPLE_COLOR = {"obtuse": "#d62728", "acute": "#2ca02c", "boundary": "#000000"}
+_SAMPLE_TEMPLATES = tuple(  # a sample's circle by 2*obtuse + acute; joined, one % fills all
+    f'<circle class="sample {k}" cx="%.3f" cy="%.3f" r="1.2" style="fill:{c};fill-opacity:0.5"/>'
+    for k, c in (("boundary", "#000000"), ("acute", "#2ca02c"), ("obtuse", "#d62728"))
+)
 
 _LOCUS_STYLE = {
     "D": "stroke:#333333;stroke-width:2",
@@ -115,15 +119,9 @@ def render_fundamental_domain(
 
     if samples is not None and len(samples):
         masks = _region_masks(samples)
-        px, py = _xy((samples[:, 0], samples[:, 1]))
-        for x, y, is_obt, is_acu in zip(
-            px.tolist(), py.tolist(), masks[Region.OBTUSE].tolist(), masks[Region.ACUTE].tolist()
-        ):
-            cls = "obtuse" if is_obt else ("acute" if is_acu else "boundary")
-            body.append(
-                f'<circle class="sample {cls}" cx="{x:.3f}" cy="{y:.3f}" '
-                f'r="1.2" style="fill:{_SAMPLE_COLOR[cls]};fill-opacity:0.5"/>'
-            )
+        kinds = (2 * masks[Region.OBTUSE] + masks[Region.ACUTE]).tolist()
+        points = itertools.chain.from_iterable(zip(*(c.tolist() for c in _xy(samples.T))))
+        body.append("\n".join(map(_SAMPLE_TEMPLATES.__getitem__, kinds)) % tuple(points))
 
     for locus, equation in LOCUS_EQUATIONS.items():
         anti = locus in _ANTI_LOCI

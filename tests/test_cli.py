@@ -7,8 +7,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -217,18 +219,33 @@ class TestMeasure:
         assert a == b
 
     def test_samples_drawn_once_for_all_regions(self, capsys, monkeypatch):
-        drawn = []
-        sample_uniform = cli.measure_mod.sample_uniform
+        # one generator per measure, drawn once and scored for all four regions
+        seeds = []
+        default_rng = np.random.default_rng
 
-        def counting(seed, n):
-            drawn.append((seed, n))
-            return sample_uniform(seed, n)
+        def counting(seed):
+            seeds.append(seed)
+            return default_rng(seed)
 
-        monkeypatch.setattr(cli.measure_mod, "sample_uniform", counting)
-        code, out, _ = run(capsys, "measure", "--samples", "5000", "--seed", "9")
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        code, out, _ = run(capsys, "measure", "--samples", "40000", "--seed", "9")
         assert code == 0
-        assert drawn == [(9, 5000)]
+        assert seeds == [9]
         assert out.count("probability") == 4
+
+    def test_memory_does_not_grow_with_samples(self, capsys):
+        def traced_peak(samples):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "measure", "--samples", str(samples), "--seed", "9")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        run(capsys, "measure", "--samples", "1000")  # numpy imported and warmed up
+        assert traced_peak(4_000_000) - traced_peak(400_000) < 1 << 20
 
     def test_monte_carlo_bytes_are_pinned(self, capsys):
         # any change to sampling, region scoring or number formatting shows up here
@@ -364,6 +381,8 @@ class TestBadInput:
             ["path", "0", "0", "--velocity", "1", "0", "--step-size", "inf"],
             ["path", "1e308", "0", "--velocity", "1", "0", "--steps", "2"],
             ["map", "--format", "radians", "1", "1", "1.14159265"],
+            ["measure", "--samples", str(10**21)],
+            ["plot", "--out", "unused.svg", "--samples", str(10**21)],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
@@ -371,7 +390,7 @@ class TestBadInput:
             "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
             "coordinate-after-second-double-dash", "steps-beyond-float", "step-size-zero",
             "step-size-negative", "step-size-nan", "step-size-inf", "start-radians-overflow",
-            "map-float-angles",
+            "map-float-angles", "measure-samples-too-large", "plot-samples-too-large",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):
@@ -381,6 +400,15 @@ class TestBadInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+    def test_plot_samples_beyond_memory(self, capsys, monkeypatch, tmp_path):
+        def no_memory(seed, n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.measure_mod, "sample_uniform", no_memory)
+        code, out, err = run(capsys, "plot", "--out", str(tmp_path / "d.svg"), "--samples", "5")
+        assert (code, out, err) == (1, "", "error: --samples does not fit in memory\n")
+        assert not (tmp_path / "d.svg").exists()
 
     @pytest.mark.parametrize(
         "argv",

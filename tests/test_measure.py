@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tritorus.measure import (
     _CHUNK,
+    _draws,
     _region_masks,
     McEstimate,
     Region,
@@ -16,6 +17,7 @@ from tritorus.measure import (
     locus_length,
     region_counts,
     region_mask,
+    sample_counts,
     sample_uniform,
 )
 from tritorus.symmetry import multiplicity
@@ -212,6 +214,15 @@ class TestRegionCounts:
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     def test_across_chunk_edges(self, n):
         assert_counts_agree(sample_uniform(SEED, n))
+
+    @pytest.mark.parametrize("seed", [1, 9, SEED])
+    @pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 400_000])
+    def test_streamed_pass_equals_the_whole_draw(self, seed, n):
+        # the rows rng.uniform draws whole, bit for bit, and the counts scored on them
+        whole = np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(n, 2))
+        assert np.array_equal(sample_uniform(seed, n), whole)
+        assert np.array_equal(np.concatenate([b.copy() for b in _draws(seed, n, _CHUNK)]), whole)
+        assert sample_counts(seed, n) == region_counts(whole)
 
     @given(st.lists(
         st.tuples(*[st.floats(0.0, TWO_PI, exclude_max=True)
