@@ -178,31 +178,18 @@ def region_mask(xi: np.ndarray, region: Region) -> np.ndarray:
     return _region_masks(xi)[region]
 
 
-def _counts(chunks) -> dict[Region, int]:
+def sample_counts(seed: int, n: int) -> dict[Region, int]:
+    """Region counts of ``sample_uniform(seed, n)``, drawn and scored ``_CHUNK`` rows at a time."""
     import numpy as np
 
     counts = dict.fromkeys(Region, 0)
-    for chunk in chunks:
+    for chunk in _draws(seed, n, _CHUNK):
         for region, mask in _region_masks(chunk).items():
             counts[region] += int(np.count_nonzero(mask))
     return counts
-
-
-def region_counts(xi: np.ndarray) -> dict[Region, int]:
-    """Number of samples in each region, scored ``_CHUNK`` rows at a time."""
-    return _counts(xi[start:start + _CHUNK] for start in range(0, len(xi), _CHUNK))
-
-
-def sample_counts(seed: int, n: int) -> dict[Region, int]:
-    """``region_counts(sample_uniform(seed, n))``, drawn and scored ``_CHUNK`` rows at a time."""
-    return _counts(_draws(seed, n, _CHUNK))
 
 
 def estimate_probability(region: Region, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the uniform-measure fraction of a region."""
     return McEstimate.from_count(sample_counts(seed, n)[region], n, seed)
 
-
-def estimate_from_samples(xi: np.ndarray, region: Region, seed: int) -> McEstimate:
-    """The estimate of ``estimate_probability`` on samples already drawn with ``seed``."""
-    return McEstimate.from_count(region_counts(xi)[region], len(xi), seed)

@@ -6,7 +6,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .measure import Region, _region_masks
+from .measure import Region, region_mask
 from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
 
 if TYPE_CHECKING:
@@ -118,8 +118,8 @@ def render_fundamental_domain(
     body.append(f'<polygon class="region-negative" points="{neg_pts}" style="fill:#d9d9d9"/>')
 
     if samples is not None and len(samples):
-        masks = _region_masks(samples)
-        kinds = (2 * masks[Region.OBTUSE] + masks[Region.ACUTE]).tolist()
+        kinds = (2 * region_mask(samples, Region.OBTUSE)
+                 + region_mask(samples, Region.ACUTE)).tolist()
         points = itertools.chain.from_iterable(zip(*(c.tolist() for c in _xy(samples.T))))
         body.append("\n".join(map(_SAMPLE_TEMPLATES.__getitem__, kinds)) % tuple(points))
 

@@ -1,6 +1,9 @@
-"""The md5 of the ``measure`` and ``plot`` corpora of ``tools/byte_identity.py``.
+"""The md5 of corpora of ``tools/byte_identity.py``, run in process.
 
-An intended change to Monte Carlo or SVG output changes a digest here; record the new
+``measure``, ``plot`` and ``arith`` run whole; ``classify`` runs its first 1,000 commands,
+``path`` its first 200 (then its closed paths), and ``exact`` the torsion points and
+triples of order up to 6.  ``refuse`` stays out: it has no size parameter, and whole it
+takes about 20 s.  An intended change to CLI output changes a digest here; record the new
 one, with its ``cmp`` summary against the parent tree.  The digests rest on numpy's PCG64
 stream and CPython's float repr; they were taken with numpy 2.4.6 on CPython 3.11.7.
 """
@@ -15,9 +18,14 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
 
+#: The arguments each corpus runs with, and the md5 of what it prints.
 DIGESTS = {
-    "measure_corpus": "8555e8aae3a42459d64a99c4cd303dbb",
-    "plot_md5": "a4317da6cb9c8557784668da8d435c19",
+    "measure_corpus": ((), "8555e8aae3a42459d64a99c4cd303dbb"),
+    "plot_md5": ((), "a4317da6cb9c8557784668da8d435c19"),
+    "classify_corpus": ((1000,), "4972b8b4a45ed9c86074f9e579d88bca"),
+    "path_corpus": ((200,), "850f061119d9a68258ce11c11cc7c696"),
+    "arith_corpus": ((), "bd200ac5ee4d8e8392e90fc1b4362e55"),
+    "exact_corpus": ((6,), "74a3cc2c97101cf5b8fc08b93e515636"),
 }
 
 
@@ -31,7 +39,8 @@ def byte_identity():
 
 @pytest.mark.parametrize("corpus", sorted(DIGESTS))
 def test_corpus_digest(byte_identity, corpus):
+    args, digest = DIGESTS[corpus]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        getattr(byte_identity, corpus)()
-    assert hashlib.md5(out.getvalue().encode()).hexdigest() == DIGESTS[corpus]
+        getattr(byte_identity, corpus)(*args)
+    assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest

@@ -26,7 +26,7 @@ from tritorus.symmetry import (
     word_of,
 )
 from tritorus.torus import (
-    LocusId, OrientationSign, TorusPoint, classify, in_locus, inverse, orientation, rho,
+    LOCUS_EQUATIONS, LocusId, OrientationSign, TorusPoint, classify, inverse, orientation, rho,
 )
 
 
@@ -136,6 +136,51 @@ class TestGroupStructure:
         ]
 
 
+#: The angle-plane metric ds^2 = (dxi1^2 + dxi2^2 - dxi1*dxi2) / 2, as an integer form.
+ANGLE_FORM = ((2, -1), (-1, 2))
+SQUARE_FORM = ((1, 0), (0, 1))
+
+#: The D, I and R loci by family.  The anti rows (IPerp_A, IPerp_B, AntiRight) are left out:
+#: the table holds only part of their D6 orbits, so it is not closed on them (ROADMAP item 4).
+FAMILIES = {LocusId[f"{family}_{v}"]: family for family in "DIR" for v in "ABC"}
+FAMILY_ROWS = {LOCUS_EQUATIONS[locus]: locus for locus in FAMILIES}
+
+
+def _preserves(m, form):
+    """M^T * form * M == form."""
+    return _matmul(_matmul(tuple(zip(*m)), form), m) == form
+
+
+def _image_locus(g, locus):
+    """The locus that g maps ``locus`` onto: the character (a, b) goes to +-(a, b)*M^-1, h kept."""
+    (m00, m01), (m10, m11) = g.matrix()
+    det = m00 * m11 - m01 * m10  # +-1, so M^-1 = det * adj(M)
+    a, b, h = LOCUS_EQUATIONS[locus]
+    c1, c2 = det * (a * m11 - b * m10), det * (b * m00 - a * m01)
+    return FAMILY_ROWS.get((c1, c2, h)) or FAMILY_ROWS.get((-c1, -c2, h))
+
+
+class TestIsometries:
+    def test_every_matrix_preserves_the_angle_plane_form(self):
+        mats = [g.matrix() for g in all_elements()]
+        assert all(_preserves(m, ANGLE_FORM) for m in mats)
+        assert sum(_preserves(m, SQUARE_FORM) for m in mats) == 4
+
+    def test_each_family_maps_onto_itself(self):
+        for g in all_elements():
+            image = {locus: _image_locus(g, locus) for locus in FAMILIES}
+            assert all(FAMILIES.get(image[l]) == FAMILIES[l] for l in FAMILIES), g
+            assert len(set(image.values())) == len(FAMILIES), g
+
+    def test_loci_of_the_image_are_the_images_of_the_loci(self):
+        for n in range(1, 25):
+            loci = {(k1, k2): FAMILIES.keys() & classify(TorusPoint.from_lattice(k1, k2, n)).loci
+                    for k1 in range(n) for k2 in range(n)}
+            for p, on in loci.items():
+                for g, q in zip(all_elements(), images(*p, n)):
+                    assert {_image_locus(g, l) for l in on} == loci[q], (p, n, g)
+
+
 class TestAction:
     def test_negation_is_inverse(self):
         p = pt(1, 2, 1, 1)
@@ -194,8 +239,7 @@ class TestOrbitsAndMultiplicity:
         for n in range(1, 61):
             for k1 in range(n):
                 for k2 in range(n):
-                    p = TorusPoint.from_lattice(k1, k2, n)
-                    loci = [locus for locus in LocusId if in_locus(p, locus)]
+                    loci = classify(TorusPoint.from_lattice(k1, k2, n)).loci
                     assert multiplicity_on(loci) == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
 
     @given(points)

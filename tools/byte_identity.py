@@ -1,7 +1,7 @@
 """Print tritorus CLI output for a fixed corpus, for byte-identity diffs.
 
     PYTHONPATH=src python tools/byte_identity.py classify [N] > out.txt
-    PYTHONPATH=src python tools/byte_identity.py exact > out.txt
+    PYTHONPATH=src python tools/byte_identity.py exact [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py path [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py plot
     PYTHONPATH=src python tools/byte_identity.py measure > out.txt
@@ -14,9 +14,9 @@ code, stdout and stderr.  The angles are kπ/q grid triples on both sheets
 (which snap to exact), the same triples jittered by 1.5e-9 to 1e-3 rad,
 uniform random triangles, degenerate ones, and invalid triples.  ``exact``
 runs ``invert``, ``invert --json`` and ``orbit`` at every torsion point
-2π(k1, k2)/n with n <= 24, and exact ``classify`` and ``map`` on every triple
-of multiples of π/N with N <= 24, on both sheets.  ``path`` runs N (default
-4,000) seeded ``path`` commands from starts given as two p/q coordinates,
+2π(k1, k2)/n with n <= N (default 24), and exact ``classify`` and ``map`` on
+every triple of multiples of π/n with n <= N, on both sheets.  ``path`` runs
+N (default 4,000) seeded ``path`` commands from starts given as two p/q coordinates,
 three exact angles, decimal coordinates near a p/q point, or three
 ``--format degrees|radians`` angles drawn as the classify corpus draws them,
 with integer or float velocities, step sizes 0.05, 0.3 and 1 and 1 to 40 steps.
@@ -113,8 +113,8 @@ def classify_corpus(n: int, seed: int = 6) -> None:
               "--", *angles])
 
 
-def exact_corpus() -> None:
-    for n in range(1, EXACT_MAX_ORDER + 1):
+def exact_corpus(max_order: int = EXACT_MAX_ORDER) -> None:
+    for n in range(1, max_order + 1):
         for k1 in range(n):
             for k2 in range(n):
                 xi = [str(Fraction(2 * k, n)) for k in (k1, k2)]
@@ -296,7 +296,7 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["classify"]:
         classify_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 12000)
     elif sys.argv[1:2] == ["exact"]:
-        exact_corpus()
+        exact_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else EXACT_MAX_ORDER)
     elif sys.argv[1:2] == ["path"]:
         path_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 4000)
     elif sys.argv[1:2] == ["plot"]:
