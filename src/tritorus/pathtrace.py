@@ -81,6 +81,7 @@ def trace_path(
     x0, y0 = start
     vx, vy = velocity
     t_end = steps * step_size
+    on = point_facts(*wrap_position(start), math.pi, REFINE_TOL)[2]  # the start's loci
     crossings = []
     for a, b, hpi, name, locus, flips in _ROWS:
         slope = a * vx + b * vy
@@ -89,13 +90,12 @@ def trace_path(
         if not abs(slope) * t_end <= TWO_PI * MAX_CROSSINGS:  # also catches inf and nan
             raise DomainError(f"path crosses {name} more than {MAX_CROSSINGS} times")
         # the residue at t = 0, wrapped so that a crossing at the start is k = 0; a start
-        # within REFINE_TOL lies on the locus, as in orientation_sign, and does not cross it
+        # on the locus, as ``point_facts`` decides, does not cross it
         r0 = wrap(a * x0 + b * y0, hpi, math.pi)
-        off = abs(r0) > REFINE_TOL
         r1 = r0 + slope * t_end
         for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
             t = (TWO_PI * k - r0) / slope
-            if 0.0 < t <= t_end and (k or off):
+            if 0.0 < t <= t_end and (k or locus not in on):
                 i = math.ceil(t / step_size) - 1
                 if i * step_size >= t:
                     i -= 1

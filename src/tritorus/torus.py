@@ -146,10 +146,19 @@ _VERTEX_SETS = tuple(
 
 
 @functools.cache
-def _flags(equilateral, iso, right, degenerate, obtuse, acute) -> TypeFlags:
-    """The one shared TypeFlags of a pattern; bit i of ``iso`` and ``right`` is VERTICES[i]."""
-    return TypeFlags(equilateral, _VERTEX_SETS[iso], _VERTEX_SETS[right], not iso, degenerate,
-                     obtuse, acute)
+def _facts(pattern, obtuse) -> tuple[TypeFlags, tuple[LocusId, ...]]:
+    """The one shared TypeFlags and the loci of a ``point_facts`` pattern, bit i for the i-th
+    ``LOCUS_EQUATIONS`` row; ``obtuse`` says the biggest doubled angle is over pi."""
+    zeros, apexes, right = pattern & 7, pattern >> 3 & 7, pattern >> 6 & 7
+    equilateral = zeros & (zeros - 1) != 0 or apexes & (apexes - 1) != 0  # two or more bits
+    iso = 7 if equilateral else apexes
+    slanted = not zeros and not right
+    flags = TypeFlags(equilateral, _VERTEX_SETS[iso], _VERTEX_SETS[right], not iso, zeros != 0,
+                      slanted and obtuse, slanted and not obtuse)
+    loci = [locus for i, locus in enumerate(LOCUS_EQUATIONS) if pattern >> i & 1]
+    if pattern & 0b101000 == 0b101000:  # I_A and I_C
+        loci.append(LocusId.EQUILATERAL3)
+    return flags, tuple(loci)
 
 
 def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
@@ -157,11 +166,11 @@ def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
 
     A lattice point 2*pi*(k1, k2)/n passes (2*k1, 2*k2, n, 0), all ints, and a float point
     (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when their ``wrap`` is within
-    ``tol``.  On the doubled |angles| at (A, B, C), equal angles at two vertices put the apex
-    at the third, two zero angles or two apexes make the class equilateral, and a vertex is
-    right where its doubled angle is pi.  The loci are those whose ``LOCUS_EQUATIONS``
-    congruence holds, plus ``Equilateral3`` where I_A and I_C meet.  The sign is 0 when
-    degenerate, else that of y - x.
+    ``tol``.  One such test on the doubled |angles| (a, b, c) at (A, B, C) decides each locus,
+    and ``_facts`` reads the flags off the same bits: zero at v is D_v, equal angles at the
+    others I_v (apex v), pi at v R_v (right at v), b = 2a IPerp_A, a = 2b IPerp_B, b - a = pi
+    AntiRight; two zeros or apexes make it equilateral, and I_A with I_C is Equilateral3.
+    The sign is 0 when degenerate, else that of y - x.
     """
     def eq(u, v):
         return abs(wrap(u, v, half)) <= tol
@@ -169,20 +178,11 @@ def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
     a, b, c = doubled_angles(min(x, y), max(x, y), 2 * half)
     if y > x:
         a, b = b, a
-    apexes = eq(b, c) | eq(a, c) << 1 | eq(a, b) << 2
-    zeros = eq(a, 0) + eq(b, 0) + eq(c, 0)
-    equilateral = zeros >= 2 or apexes & (apexes - 1) != 0  # two or more apex bits
-    degenerate = zeros > 0
-    biggest = max(a, b, c)
-    slanted = not degenerate and not eq(biggest, half)
-    flags = _flags(equilateral, 7 if equilateral else apexes,
-                   eq(a, half) | eq(b, half) << 1 | eq(c, half) << 2,
-                   degenerate, slanted and biggest > half, slanted and biggest < half)
-    loci = [locus for locus, (p, q, h) in LOCUS_EQUATIONS.items()
-            if abs(wrap(p * x + q * y, h * half, half)) <= tol]  # eq, inlined for speed
-    if LocusId.I_A in loci and LocusId.I_C in loci:  # the three points I_A and I_C share
-        loci.append(LocusId.EQUILATERAL3)
-    return 0 if degenerate else 1 if y > x else -1, flags, tuple(loci)
+    pattern = (eq(a, 0) | eq(b, 0) << 1 | eq(c, 0) << 2 | eq(b, c) << 3 | eq(a, c) << 4
+               | eq(a, b) << 5 | eq(a, half) << 6 | eq(b, half) << 7 | eq(c, half) << 8
+               | eq(b, 2 * a) << 9 | eq(a, 2 * b) << 10 | eq(b - a, half) << 11)
+    flags, loci = _facts(pattern, max(a, b, c) > half)
+    return 0 if pattern & 7 else 1 if y > x else -1, flags, loci
 
 
 #: ``OrientationSign`` by the sign that ``point_facts`` returns.

@@ -154,15 +154,18 @@ class TestIntPairAgainstFraction:
 
 
 def test_type_flags_vertex_sets_are_shared_and_unchanged():
-    """Every iso x right bit pattern names its vertices, bit i for VERTICES[i], and equal
-    patterns share one frozenset each."""
+    """Every apex x right bit pattern names its vertices, bit i for VERTICES[i], two or more
+    apexes make the class equilateral, and equal patterns share one frozenset each."""
     seen = {}
-    for iso, right in product(range(8), repeat=2):
-        flags = torus._flags(iso == 7, iso, right, False, False, False)
+    for apexes, right in product(range(8), repeat=2):
+        flags, _ = torus._facts(apexes << 3 | right << 6, False)
+        equilateral = bin(apexes).count("1") >= 2
+        iso = 7 if equilateral else apexes
         got = (flags.isosceles_vertices, flags.right_vertices)
         assert got == tuple(frozenset(compress(VERTICES, (bits & 1, bits & 2, bits & 4)))
                             for bits in (iso, right))
-        assert flags.scalene == (iso == 0)
+        assert flags.equilateral == equilateral
+        assert flags.scalene == (apexes == 0)
         for s in got:
             assert seen.setdefault(s, s) is s
     assert len(seen) == 8

@@ -516,6 +516,10 @@ _NEAR_LOCUS = _near_locus_triples(9, 400)
 _MOTIVATING = [
     ("1.1415926535897931", "1.00000000035", "0.99999999965"),  # isosceles flag off I_A
     ("1.0", "2.141592654389793", "0"),  # a zero angle off D_C
+    # at the edge of I_C, R_C and I_A, where a flag and its locus were once decided apart
+    ("-1.0115953560475432", "-1.0115953565475428", "-1.118401940994707"),
+    ("-0.4014160097734014", "-1.1693803165214953", "-1.5707963272948964"),
+    ("-0.13496349700790589", "-1.5033145780409438", "-1.5033145785409434"),
 ]
 
 
@@ -561,6 +565,16 @@ def test_float_multiplicity_agrees_with_its_own_loci(capsys):
             if d["multiplicity"] != str(max(1, 2 * len(mirrors))):
                 wrong.append((angles, d["loci"], d["multiplicity"]))
     assert wrong == []
+
+
+@pytest.mark.parametrize("angles, loci, multiplicity", zip(_MOTIVATING[2:], ("I_C", "R_C", "I_A"),
+                                                            ("2", "1", "2")))
+def test_float_edge_triples_print_their_locus(capsys, angles, loci, multiplicity):
+    # the flag each prints (apex C, right at C, apex A) has its locus in the same report
+    code, out, _ = run(capsys, "classify", "--format", "radians", "--", *angles)
+    assert code == 0
+    d = lines_to_dict(out)
+    assert (d["loci"], d["multiplicity"]) == (loci, multiplicity)
 
 
 def test_float_canonical_rep_is_the_least_image(capsys):

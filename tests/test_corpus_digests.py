@@ -1,9 +1,9 @@
 """The md5 of corpora of ``tools/byte_identity.py``, run in process.
 
 ``measure``, ``plot`` and ``arith`` run whole; ``classify`` runs its first 1,000 commands,
-``path`` its first 200 (then its closed paths), and ``exact`` the torsion points and
-triples of order up to 6.  ``refuse`` stays out: it has no size parameter, and whole it
-takes about 20 s.  An intended change to CLI output changes a digest here; record the new
+``path`` its first 200 (then its closed paths), ``exact`` the torsion points and triples
+of order up to 6, and ``edge`` its first 100 locus edges.  ``refuse`` stays out: it has no
+size parameter, and whole it takes about 20 s.  An intended change to CLI output changes a digest here; record the new
 one, with its ``cmp`` summary against the parent tree.  The digests rest on numpy's PCG64
 stream and CPython's float repr; they were taken with numpy 2.4.6 on CPython 3.11.7.
 """
@@ -26,6 +26,7 @@ DIGESTS = {
     "path_corpus": ((200,), "850f061119d9a68258ce11c11cc7c696"),
     "arith_corpus": ((), "bd200ac5ee4d8e8392e90fc1b4362e55"),
     "exact_corpus": ((6,), "74a3cc2c97101cf5b8fc08b93e515636"),
+    "edge_corpus": ((100,), "0e2680651ffc9354ce989ccef1c2e06b"),
 }
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -197,9 +199,11 @@ def test_residue_holds_exactly_on_the_printed_loci():
 def _reference_trace(start, velocity, steps, step_size):
     """trace_path's closed form, written per crossing with the public helpers: a ``pos``
     closure, ``wrap_position``, ``residue``, a sort on ``e[:2]`` and runs of crossings in one
-    step, each within REFINE_TOL of position of the one before, sorted by name."""
+    step, each within REFINE_TOL of position of the one before, sorted by name.  A start
+    on a locus, by ``point_facts``, does not cross it at once."""
     if velocity == (0.0, 0.0):
         raise ZeroVelocity("velocity must be nonzero")
+    on = point_facts(*wrap_position(start), math.pi, REFINE_TOL)[2]
 
     def pos(t):
         return (start[0] + t * velocity[0], start[1] + t * velocity[1])
@@ -216,7 +220,7 @@ def _reference_trace(start, velocity, steps, step_size):
         r1 = r0 + slope * t_end
         for k in range(math.floor(min(r0, r1) / TWO_PI), math.ceil(max(r0, r1) / TWO_PI) + 1):
             t = (TWO_PI * k - r0) / slope
-            if 0.0 < t <= t_end and (k or abs(r0) > REFINE_TOL):
+            if 0.0 < t <= t_end and (k or locus not in on):
                 i = math.ceil(t / step_size) - 1
                 if i * step_size >= t:
                     i -= 1
@@ -296,3 +300,29 @@ def test_trace_path_equals_the_per_crossing_reference():
         got = _outcome(trace_path, *args)
         assert isinstance(got, tuple) and got[0] is DomainError, args
         assert got == _outcome(_reference_trace, *args), args
+
+
+BYTE_IDENTITY = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+
+
+def test_no_crossing_at_once_of_a_locus_the_start_is_on():
+    # at the last point on and the first point off each locus (``edge_points`` of
+    # tools/byte_identity.py), a step of 1e-6 either way crosses no locus that point_facts,
+    # and so classify, puts the start on
+    spec = importlib.util.spec_from_file_location("byte_identity", BYTE_IDENTITY)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rng = random.Random(24)
+    wrong, checked = [], 0
+    for _, *starts in tool.edge_points(480):
+        for start in starts:
+            on = set(point_facts(*start, math.pi, REFINE_TOL)[2])
+            for _ in range(4):
+                phi = rng.uniform(0.0, TWO_PI)
+                velocity = (math.cos(phi), math.sin(phi))
+                events = trace_path(start, velocity, 1, 1e-6)
+                wrong += [(start, velocity, e.locus) for e in events
+                          if e.kind is EventKind.LOCUS_CROSSING and e.locus in on]
+                checked += bool(on)
+    assert checked > 1000
+    assert wrong == []

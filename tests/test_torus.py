@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from tritorus.angles import HALF_PI, PI, ZERO, PiRational, Sheet, make_triple, taxonomy
 from tritorus.torus import (
     LOCUS_EQUATIONS,
+    REFINE_TOL,
     LocusId,
     OrientationSign,
     TorusPoint,
@@ -245,8 +246,6 @@ class TestLattice:
     def test_lattice_and_float_point_facts_agree(self):
         # one rule, two number types: exact ints in units of pi/n, and floats within
         # REFINE_TOL, agree on sign, flags and loci at every torsion point, odd orders too
-        from tritorus.pathtrace import REFINE_TOL
-
         for n in range(1, 49):
             for k1 in range(n):
                 for k2 in range(n):
@@ -413,6 +412,45 @@ def test_classify_agrees_with_the_benchmark_oracle_to_order_24():
                 assert got == {key: want[key] for key in got}, (k1, k2, n)
                 checked += 1
     assert checked == 4900
+
+
+BYTE_IDENTITY = Path(__file__).resolve().parents[1] / "tools" / "byte_identity.py"
+
+
+def edge_points(n):
+    """``tools/byte_identity.edge_points``: (locus, last point on, first point off) at n
+    seeded edges, cycling through the twelve rows and bisected on each row's own residue,
+    not through point_facts."""
+    spec = importlib.util.spec_from_file_location("byte_identity", BYTE_IDENTITY)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.edge_points(n)
+
+
+def test_flags_agree_with_loci_at_the_edge_of_each_locus():
+    # flags and loci are read off one comparison each, so they agree at the last point on
+    # a locus, the first point off it and one ulp either side of each
+    two_pi = 2 * math.pi
+    wrong, checked = [], 0
+    for locus, *points in edge_points(480):
+        for x, y in points:
+            for p in [(x, y)] + [(math.nextafter(x, to) % two_pi, math.nextafter(y, to) % two_pi)
+                                 for to in (0.0, two_pi)]:
+                sign, flags, loci = point_facts(*p, math.pi, REFINE_TOL)
+                names = {l.value for l in loci}
+
+                def at(kind):
+                    return {v for v in "ABC" if f"{kind}_{v}" in names}
+
+                if not (flags.degenerate == bool(at("D")) == (sign == 0)):
+                    wrong.append((locus, p, "degenerate"))
+                if not flags.equilateral and flags.isosceles_vertices != at("I"):
+                    wrong.append((locus, p, "isosceles_vertices"))
+                if flags.right_vertices != at("R"):
+                    wrong.append((locus, p, "right_vertices"))
+                checked += 1
+    assert checked == 480 * 2 * 3
+    assert wrong == []
 
 
 class TestProjectRelative:

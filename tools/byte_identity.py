@@ -7,6 +7,7 @@
     PYTHONPATH=src python tools/byte_identity.py measure > out.txt
     PYTHONPATH=src python tools/byte_identity.py arith > out.txt
     PYTHONPATH=src python tools/byte_identity.py refuse > out.txt
+    PYTHONPATH=src python tools/byte_identity.py edge [N] > out.txt
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
 degrees|radians`` commands in process and prints each command with its exit
@@ -41,8 +42,13 @@ coordinates); ``path`` also starts from two bad coordinates (non-finite,
 beyond a float, unparsable).  Last, in degrees and in radians, it runs float
 triples at the edge of the 1e-9 tolerance on both sheets: sums that miss ±π by
 5e-10 (accepted) or 2e-9 (refused), and an angle 2e-9 beyond 0 or π with the
-sum held.  Run it once on each tree, with PYTHONPATH pointing at that tree's
-``src``, and compare the outputs with ``cmp``.
+sum held.  ``edge`` takes N (default 600) seeded points on the ``LOCUS_EQUATIONS``
+rows in turn, moves each along a seeded direction and bisects on the row's residue to
+the last point within 1e-9 of the locus and the first point past it (``edge_points``).
+It writes each such point as a radians triple on both sheets and runs ``classify`` and
+``path --velocity 1 0.37 --steps 1 --step-size 1e-6`` on it.  Run it once on each
+tree, with PYTHONPATH pointing at that tree's ``src``, and compare the outputs with
+``cmp``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from fractions import Fraction
 
 from tritorus import cli
 from tritorus.angles import PiRational
-from tritorus.torus import LOCUS_EQUATIONS
+from tritorus.torus import LOCUS_EQUATIONS, REFINE_TOL, TWO_PI
 
 EXACT_MAX_ORDER = 24
 
@@ -274,6 +280,54 @@ def _edge_triples() -> list[list[float]]:
     return out + [[-a for a in t] for t in out]
 
 
+def _locus_residue(row: tuple[int, int, int], x: float, y: float) -> float:
+    """|a*x + b*y - h*pi| mod 2*pi, for a ``LOCUS_EQUATIONS`` row (a, b, h)."""
+    a, b, h = row
+    return abs((a * x + b * y - h * math.pi + math.pi) % TWO_PI - math.pi)
+
+
+def edge_points(n: int, seed: int = 24) -> list[tuple]:
+    """n seeded (locus, last point on, first point off), cycling through ``LOCUS_EQUATIONS``:
+    a point on the row moved along a direction, bisected on the row's residue against
+    REFINE_TOL until the two points are one step of the bisection apart."""
+    rng = random.Random(seed)
+    rows = list(LOCUS_EQUATIONS.items())
+    out = []
+    for i in range(n):
+        locus, row = rows[i % len(rows)]
+        a, b, h = row
+        s = rng.uniform(0.0, TWO_PI)
+        x0, y0 = (s, (h * math.pi - a * s) / b) if b else (h * math.pi / a, s)
+        dx = dy = 0.0
+        while abs(a * dx + b * dy) < 0.1:  # the residue grows by at least 1e-7 at t = 1e-6
+            phi = rng.uniform(0.0, TWO_PI)
+            dx, dy = math.cos(phi), math.sin(phi)
+
+        def at(t):
+            return ((x0 + t * dx) % TWO_PI, (y0 + t * dy) % TWO_PI)
+
+        on, off = 0.0, 1e-6
+        while on < (mid := (on + off) / 2) < off:
+            if _locus_residue(row, *at(mid)) <= REFINE_TOL:
+                on = mid
+            else:
+                off = mid
+        out.append((locus, at(on), at(off)))
+    return out
+
+
+def edge_corpus(n: int, seed: int = 24) -> None:
+    for _, *points in edge_points(n, seed):
+        for x, y in points:
+            # the doubled |angles| at (A, B, C), halved and signed for each sheet
+            doubled = (TWO_PI - y, x, y - x) if y > x else (y, TWO_PI - x, x - y)
+            for sign in (1, -1):
+                angles = [repr(sign * d / 2) for d in doubled]
+                _run(["classify", "--format", "radians", "--", *angles])
+                _run(["path", "--velocity", "1", "0.37", "--steps", "1", "--step-size", "1e-6",
+                      "--format", "radians", "--", *angles])
+
+
 def _run_triangle_commands(mode: str, angles: list[str]) -> None:
     for command in ("classify", "map"):
         _run([command, "--format", mode, "--", *angles])
@@ -307,5 +361,7 @@ if __name__ == "__main__":
         arith_corpus()
     elif sys.argv[1:2] == ["refuse"]:
         refuse_corpus()
+    elif sys.argv[1:2] == ["edge"]:
+        edge_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 600)
     else:
         raise SystemExit(__doc__)
