@@ -1,9 +1,9 @@
 """Command-line surface: classify | map | invert | orbit | measure | path | plot.
 
-Output is line-oriented ``key: value`` text by default, or JSON with --json.
-Exact rational angles are printed as ``p/q·π``; float values use 12
-significant digits.  Exit codes: 0 success, 1 usage/parse error, 2 domain
-error.
+Each subcommand builds a report; ``main`` alone prints it, as ``key: value`` lines or as
+JSON with --json, and sets the exit code: 0 success, 1 usage/parse error, 2 domain error
+or an unwritable --out.  Exact rational angles are printed as ``p/q·π``; float values use
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -152,12 +152,11 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
 # subcommands
 
 
-def cmd_classify(args) -> int:
-    _classify_report(*_triangle(args.angles, args.format)).emit(args.json)
-    return 0
+def cmd_classify(args) -> Report:
+    return _classify_report(*_triangle(args.angles, args.format))
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> Report:
     angles = _parse_three_angles(args.angles, args.format)
     if not all(isinstance(a, PiRational) for a in angles):
         raise ParseError("map requires exact rational angles; use classify for floats")
@@ -168,11 +167,10 @@ def cmd_map(args) -> int:
     report.add("torus.xi1", _fmt_angle(p.xi1))
     report.add("torus.xi2", _fmt_angle(p.xi2))
     report.add("orientation", torus.orientation(p).value)
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args) -> Report:
     p = TorusPoint(parse_pi_rational(args.xi1), parse_pi_rational(args.xi2))
     preimages = torus.rho_preimages(p)
     report = Report()
@@ -180,11 +178,10 @@ def cmd_invert(args) -> int:
     report.add("count", len(preimages))
     for i, t in enumerate(preimages, start=1):
         report.add(f"preimage.{i}", f"{t} sheet={t.sheet.value}")
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> Report:
     p = TorusPoint(parse_pi_rational(args.xi1), parse_pi_rational(args.xi2))
     orb = sorted(symmetry.orbit(p), key=TorusPoint.key)
     report = Report()
@@ -194,8 +191,7 @@ def cmd_orbit(args) -> int:
     report.add("canonical_rep", str(symmetry.canonical_rep(p)))
     for i, q in enumerate(orb, start=1):
         report.add(f"element.{i}", str(q))
-    report.emit(args.json)
-    return 0
+    return report
 
 
 def _check_sampling(args) -> None:
@@ -207,7 +203,7 @@ def _check_sampling(args) -> None:
         raise ParseError("--seed must not be negative")
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> Report:
     _check_sampling(args)
     analytic = measure_mod.analytic_measures()._asdict()
     ratios = analytic.pop("ratios")
@@ -224,11 +220,10 @@ def cmd_measure(args) -> int:
             est = measure_mod.McEstimate.from_count(count, args.samples, args.seed)
             report.add(f"mc.{region.value}.probability", _fmt_float(est.probability))
             report.add(f"mc.{region.value}.stderr", _fmt_float(est.standard_error))
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_path(args) -> int:
+def cmd_path(args) -> Report:
     if len(args.start) == 3:
         # checked as classify checks it; an exact start is exact, so that on a locus it lies on it
         x, y, half, tol = _triangle(args.start, args.format)[2]
@@ -275,11 +270,10 @@ def cmd_path(args) -> int:
                 sign = pathtrace.orientation_sign((x + t * velocity[0], y + t * velocity[1]))
                 fields.append(f"orientation_{side}={torus.SIGNS[sign].value}")
         report.add(f"event.{i}", " ".join(fields))
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> Report:
     _check_sampling(args)
     samples = None
     if args.samples > 0:
@@ -292,10 +286,10 @@ def cmd_plot(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote: {args.out}")
-    return 0
+        raise DomainError(f"cannot write {args.out}: {exc}") from None
+    report = Report()
+    report.add("wrote", args.out)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        report = args.func(args)
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ParseError) else 2
+    report.emit(args.json)
+    return 0
 
 
 if __name__ == "__main__":

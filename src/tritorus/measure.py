@@ -19,7 +19,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .symmetry import multiplicity_on
-from .torus import LOCUS_EQUATIONS, REFINE_TOL, TWO_PI, LocusId, doubled_angles
+from .torus import (DEGENERATE_LOCI, ISOSCELES_LOCI, LOCUS_EQUATIONS, REFINE_TOL, RIGHT_LOCI,
+                    TWO_PI, LocusId, doubled_angles)
 from .angles import DomainError
 
 if TYPE_CHECKING:
@@ -88,17 +89,17 @@ _SIZE_ACUTE = math.sqrt(3.0) / 4.0 * math.pi**2
 # loci a generic member lies on: a nondegenerate scalene on none, an isosceles
 # on one I_v, a right triangle (scalene) on one R_v, a degenerate one on one D_v.
 MULT_AREA = multiplicity_on(())
-MULT_ISOSCELES = multiplicity_on((LocusId.I_A,))
-MULT_RIGHT = multiplicity_on((LocusId.R_A,))
-MULT_DEGENERATE = multiplicity_on((LocusId.D_A,))
+MULT_ISOSCELES = multiplicity_on(ISOSCELES_LOCI[:1])
+MULT_RIGHT = multiplicity_on(RIGHT_LOCI[:1])
+MULT_DEGENERATE = multiplicity_on(DEGENERATE_LOCI[:1])
 
 
 def analytic_measures() -> MeasureReport:
     """Relative measures mu = multiplicity * size for the named families."""
-    iso_length = sum(map(locus_length, (LocusId.I_A, LocusId.I_B, LocusId.I_C)))
+    iso_length = sum(map(locus_length, ISOSCELES_LOCI))
     isosceles = MULT_ISOSCELES * iso_length
-    right = MULT_RIGHT * sum(map(locus_length, (LocusId.R_A, LocusId.R_B, LocusId.R_C)))
-    degenerate = MULT_DEGENERATE * sum(map(locus_length, (LocusId.D_A, LocusId.D_B, LocusId.D_C)))
+    right = MULT_RIGHT * sum(map(locus_length, RIGHT_LOCI))
+    degenerate = MULT_DEGENERATE * sum(map(locus_length, DEGENERATE_LOCI))
     # the obtuse and acute halves of each isosceles locus have equal length
     obtuse_iso = acute_iso = MULT_ISOSCELES * iso_length / 2.0
     obtuse = MULT_AREA * _SIZE_OBTUSE

@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .angles import DomainError
-from .torus import LOCUS_EQUATIONS, REFINE_TOL, TWO_PI, LocusId, point_facts, wrap
+from .torus import DEGENERATE_LOCI, LOCUS_EQUATIONS, REFINE_TOL, TWO_PI, LocusId, point_facts, wrap
 
 #: Most crossings of one locus a path may make, one per 2*pi of |a*vx + b*vy|*t:
 #: rounding a position at that phase costs about 1e-10, a tenth of REFINE_TOL.
@@ -38,10 +38,8 @@ class PathEvent(NamedTuple):
     refined_position: tuple[float, float]
 
 
-_DEGENERATE_LOCI = (LocusId.D_A, LocusId.D_B, LocusId.D_C)
-
 #: ``LOCUS_EQUATIONS`` as (a, b, h*pi, name, locus, flips orientation), read by trace_path.
-_ROWS = [(a, b, h * math.pi, locus.value, locus, locus in _DEGENERATE_LOCI)
+_ROWS = [(a, b, h * math.pi, locus.value, locus, locus in DEGENERATE_LOCI)
          for locus, (a, b, h) in LOCUS_EQUATIONS.items()]
 
 
@@ -50,7 +48,8 @@ def wrap_position(xi: tuple[float, float]) -> tuple[float, float]:
 
 
 def residue(locus: LocusId, xi: tuple[float, float]) -> float:
-    """Distance of a*xi1 + b*xi2 from h*pi mod 2*pi, for the locus's ``LOCUS_EQUATIONS``."""
+    """|a*xi1 + b*xi2 - h*pi| mod 2*pi of the locus's ``LOCUS_EQUATIONS`` row, as ``trace_path``
+    checks it at each crossing; whether xi is on the locus is ``torus.point_facts``' rule."""
     a, b, h = LOCUS_EQUATIONS[locus]
     return abs(wrap(a * xi[0] + b * xi[1], h * math.pi, math.pi))
 

@@ -7,12 +7,10 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .measure import Region, region_mask
-from .torus import LOCUS_EQUATIONS, TWO_PI, LocusId
+from .torus import ANTI_LOCI, DEGENERATE_LOCI, ISOSCELES_LOCI, LOCUS_EQUATIONS, RIGHT_LOCI, TWO_PI
 
 if TYPE_CHECKING:
     import numpy as np
-
-_ANTI_LOCI = frozenset({LocusId.IPERP_A, LocusId.IPERP_B, LocusId.ANTI_RIGHT})
 
 #: Width and height of the SVG, in pixels.
 SIZE = 640
@@ -53,12 +51,12 @@ _SAMPLE_TEMPLATES = tuple(  # a sample's circle by 2*obtuse + acute; joined, one
     for k, c in (("boundary", "#000000"), ("acute", "#2ca02c"), ("obtuse", "#d62728"))
 )
 
-_LOCUS_STYLE = {
-    "D": "stroke:#333333;stroke-width:2",
-    "I": "stroke:#1f77b4;stroke-width:1.5",
-    "R": "stroke:#d62728;stroke-width:1.5",
-    "X": "stroke:#9467bd;stroke-width:1;stroke-dasharray:4 3",
-}
+_LOCUS_STYLE = {locus: style for family, style in (
+    (DEGENERATE_LOCI, "stroke:#333333;stroke-width:2"),
+    (ISOSCELES_LOCI, "stroke:#1f77b4;stroke-width:1.5"),
+    (RIGHT_LOCI, "stroke:#d62728;stroke-width:1.5"),
+    (ANTI_LOCI, "stroke:#9467bd;stroke-width:1;stroke-dasharray:4 3"),
+) for locus in family}
 
 
 def _segments(offset: tuple[float, float], direction: tuple[int, int]):
@@ -124,14 +122,12 @@ def render_fundamental_domain(
         body.append("\n".join(map(_SAMPLE_TEMPLATES.__getitem__, kinds)) % tuple(points))
 
     for locus, equation in LOCUS_EQUATIONS.items():
-        anti = locus in _ANTI_LOCI
-        if anti and not include_anti:
+        if locus in ANTI_LOCI and not include_anti:
             continue
-        family = "X" if anti else locus.value[0]
         parts = [f"M {_fmt(a)} L {_fmt(b)}" for a, b in _segments(*_locus_line(*equation))]
         body.append(
             f'<path class="locus" id="locus-{locus.value}" d="{" ".join(parts)}" '
-            f'style="fill:none;{_LOCUS_STYLE[family]}"/>'
+            f'style="fill:none;{_LOCUS_STYLE[locus]}"/>'
         )
 
     # Domain border drawn on top of the regions.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .torus import LocusId, TorusPoint, point_facts
+from .torus import DEGENERATE_LOCI, ISOSCELES_LOCI, TorusPoint, point_facts
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -153,7 +153,7 @@ def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
 
 
 #: The six mirrors: each is the fixed line of one of the six reflections in D6.
-_MIRRORS = frozenset((LocusId.D_A, LocusId.D_B, LocusId.D_C, LocusId.I_A, LocusId.I_B, LocusId.I_C))
+_MIRRORS = frozenset(DEGENERATE_LOCI + ISOSCELES_LOCI)
 
 
 def multiplicity(p: TorusPoint) -> int:

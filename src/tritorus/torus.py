@@ -56,6 +56,10 @@ LOCUS_EQUATIONS: dict[LocusId, tuple[int, int, int]] = {
     LocusId.ANTI_RIGHT: (1, 1, 1),
 }
 
+#: The loci by family, cut from the ``LOCUS_EQUATIONS`` order that numbers ``point_facts``' bits.
+DEGENERATE_LOCI, ISOSCELES_LOCI, RIGHT_LOCI, ANTI_LOCI = (
+    tuple(LOCUS_EQUATIONS)[i:i + 3] for i in (0, 3, 6, 9))
+
 #: The period of each coordinate, in float radians.
 TWO_PI = 2.0 * math.pi
 

@@ -725,7 +725,7 @@ class TestPlot:
         out_file = tmp_path / "domain.svg"
         code, out, _ = run(capsys, "plot", "--out", str(out_file))
         assert code == 0
-        assert "wrote" in out
+        assert out == f"wrote: {out_file}\n"  # exactly the line the benchmark's check reads
         text = out_file.read_text()
         assert text.startswith("<?xml") or text.startswith("<svg")
         assert text.count('class="locus"') == 9
@@ -742,6 +742,33 @@ class TestPlot:
         assert text.count('class="sample') >= 50
 
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "plot", "--out", str(tmp_path / "no" / "dir.svg"))
-        assert code == 2
-        assert "error" in err
+        out_file = tmp_path / "no" / "dir.svg"
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "plot", "--out", str(out_file), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot write {out_file}: ") and err.count("\n") == 1
+
+
+#: Valid arguments for each subcommand; ``{out}`` stands for a writable SVG path.
+_VALID_ARGV = {
+    "classify": ["--format", "degrees", "--", "50", "60", "70"],
+    "map": ["1/7", "2/7", "4/7"],
+    "invert": ["2/3", "0"],
+    "orbit": ["1/5", "3/7"],
+    "measure": ["--samples", "100", "--seed", "9"],
+    "path": ["1/3", "1/2", "--velocity", "3", "1", "--steps", "40"],
+    "plot": ["--out", "{out}", "--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_every_subcommand_honours_json(capsys, tmp_path, command):
+    assert sorted(_VALID_ARGV) == sorted(_COMMANDS)  # every subcommand
+    args = [a.format(out=tmp_path / "d.svg") for a in _VALID_ARGV[command]]
+    code, text, err = run(capsys, command, *args)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, command, "--json", *args)
+    assert (code, err) == (0, "")
+    report = json.loads(out)  # one JSON value, and nothing printed beside it
+    assert isinstance(report, dict)
+    assert {key: str(value) for key, value in report.items()} == lines_to_dict(text)

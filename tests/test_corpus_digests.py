@@ -2,8 +2,9 @@
 
 ``measure``, ``plot`` and ``arith`` run whole; ``classify`` runs its first 1,000 commands,
 ``path`` its first 200 (then its closed paths), ``exact`` the torsion points and triples
-of order up to 6, and ``edge`` its first 100 locus edges.  ``refuse`` stays out: it has no
-size parameter, and whole it takes about 20 s.  An intended change to CLI output changes a digest here; record the new
+of order up to 6, ``edge`` its first 100 locus edges, and ``refuse`` 50 of its 1,150 huge
+or non-finite triples beside all of its other bad input, so each kind of bad input it pins,
+with its exit code and ``error:`` line, is checked here too.  An intended change to CLI output changes a digest here; record the new
 one, with its ``cmp`` summary against the parent tree.  The digests rest on numpy's PCG64
 stream and CPython's float repr; they were taken with numpy 2.4.6 on CPython 3.11.7.
 """
@@ -27,6 +28,7 @@ DIGESTS = {
     "arith_corpus": ((), "bd200ac5ee4d8e8392e90fc1b4362e55"),
     "exact_corpus": ((6,), "74a3cc2c97101cf5b8fc08b93e515636"),
     "edge_corpus": ((100,), "0e2680651ffc9354ce989ccef1c2e06b"),
+    "refuse_corpus": ((50,), "c097ba920b1111e9011fa8ad1e24313b"),
 }
 
 

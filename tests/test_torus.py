@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tritorus.angles import HALF_PI, PI, ZERO, PiRational, Sheet, make_triple, taxonomy
+from tritorus.symmetry import multiplicity_on
 from tritorus.torus import (
+    ANTI_LOCI,
+    DEGENERATE_LOCI,
+    ISOSCELES_LOCI,
     LOCUS_EQUATIONS,
     REFINE_TOL,
+    RIGHT_LOCI,
     LocusId,
     OrientationSign,
     TorusPoint,
@@ -508,3 +513,17 @@ def test_value_types_are_immutable_values():
     reduced = TorusPoint(pr(1), pr(3, 2))
     assert wound == reduced
     assert hash(wound) == hash(reduced)
+
+
+def test_locus_families_cut_the_equations_in_order():
+    families = (DEGENERATE_LOCI, ISOSCELES_LOCI, RIGHT_LOCI, ANTI_LOCI)
+    assert sum(families, ()) == tuple(LOCUS_EQUATIONS)
+    by_name = [tuple(LocusId[f"{f}_{v}"] for v in "ABC") for f in "DIR"]
+    by_name.append(tuple(LocusId[f"{f}_{v}"] for f, v in (("IPERP", "A"), ("IPERP", "B"),
+                                                           ("ANTI", "RIGHT"))))
+    assert list(families) == by_name
+    # D_v and I_v are the mirrors of D6's reflections; R_v and the anti loci are not
+    for locus in DEGENERATE_LOCI + ISOSCELES_LOCI:
+        assert multiplicity_on((locus,)) == 2
+    for locus in RIGHT_LOCI + ANTI_LOCI:
+        assert multiplicity_on((locus,)) == 1

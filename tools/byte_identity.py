@@ -6,7 +6,7 @@
     PYTHONPATH=src python tools/byte_identity.py plot
     PYTHONPATH=src python tools/byte_identity.py measure > out.txt
     PYTHONPATH=src python tools/byte_identity.py arith > out.txt
-    PYTHONPATH=src python tools/byte_identity.py refuse > out.txt
+    PYTHONPATH=src python tools/byte_identity.py refuse [N] > out.txt
     PYTHONPATH=src python tools/byte_identity.py edge [N] > out.txt
 
 ``classify`` runs N (default 12,000) seeded ``classify --format
@@ -36,7 +36,8 @@ max(1, q // 5) (not all in lowest terms), its ``str``, ``repr``, ``coeff``,
 sum, difference and comparisons.  ``refuse`` runs ``classify``, ``map`` and
 ``path`` on bad input, in each of the three formats, and prints each command
 with its exit code, stdout and stderr.  The angles are nan, ±inf, ±1e400,
-±1.7e308 or ±1e308 beside small angles or beside each other, wrong sums,
+±1.7e308 or ±1e308 beside small angles or beside each other (all 1,150 such
+triples, or N of them evenly spaced: the only part that N thins), wrong sums,
 out-of-range angles, and one, two or four angles (two are ``path``'s
 coordinates); ``path`` also starts from two bad coordinates (non-finite,
 beyond a float, unparsable).  Last, in degrees and in radians, it runs float
@@ -251,21 +252,25 @@ _BAD_COORDINATES = (
 )
 
 
-def _refused_triples() -> list[list[str]]:
+def _refused_triples(n: int | None = None) -> list[list[str]]:
     """Three angles, each a huge or non-finite value beside small angles or beside another
-    huge one, then the fixed bad triples, then one, two and four angles."""
-    out = []
+    huge one (all, or n of them evenly spaced), then the fixed bad triples, then one, two
+    and four angles."""
+    huge = []
     for h in _HUGE:
         for s in _SMALL:
             for i in range(3):
                 triple = [s, s, s]
                 triple[i] = h
-                out.append(triple)
+                huge.append(triple)
         for g in _HUGE:
             for s in _SMALL:
-                out.append([h, g, s])
-                out.append([s, h, g])
-    return out + [list(t) for t in _BAD_TRIPLES] + [["1/2"], ["1/2", "1/2"], ["1/3"] * 4]
+                huge.append([h, g, s])
+                huge.append([s, h, g])
+    if n is not None:
+        k = min(n, len(huge))
+        huge = [huge[i * len(huge) // k] for i in range(k)]
+    return huge + [list(t) for t in _BAD_TRIPLES] + [["1/2"], ["1/2", "1/2"], ["1/3"] * 4]
 
 
 def _edge_triples() -> list[list[float]]:
@@ -334,9 +339,9 @@ def _run_triangle_commands(mode: str, angles: list[str]) -> None:
     _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--", *angles])
 
 
-def refuse_corpus() -> None:
+def refuse_corpus(n: int | None = None) -> None:
     for mode in ("pi-rational", "degrees", "radians"):
-        for angles in _refused_triples():
+        for angles in _refused_triples(n):
             _run_triangle_commands(mode, angles)
         for coordinates in _BAD_COORDINATES:
             _run(["path", "--velocity", "1", "0", "--steps", "2", "--format", mode, "--",
@@ -360,7 +365,7 @@ if __name__ == "__main__":
     elif sys.argv[1:2] == ["arith"]:
         arith_corpus()
     elif sys.argv[1:2] == ["refuse"]:
-        refuse_corpus()
+        refuse_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else None)
     elif sys.argv[1:2] == ["edge"]:
         edge_corpus(int(sys.argv[2]) if len(sys.argv) > 2 else 600)
     else:
