@@ -249,8 +249,7 @@ def taxonomy(t: AngleTriple) -> TypeFlags:
     ``torus.point_facts`` decides at its point ``rho(t)``."""
     from .torus import point_facts, rho  # local import: torus builds on angles
 
-    k1, k2, n = rho(t).lattice()
-    return point_facts(2 * k1, 2 * k2, n, 0)[1]
+    return point_facts(*rho(t).facts_args())[1]
 
 
 def degenerate_similar(a: AngleTriple, b: AngleTriple) -> bool:

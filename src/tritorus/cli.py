@@ -33,9 +33,8 @@ class ParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
+    def error(self, message):  # a usage error is a ParseError: one error line, exit 1
+        raise ParseError(message)
 
 
 def _fmt_float(x: float) -> str:
@@ -111,8 +110,7 @@ def _triangle(texts: Sequence[str], mode: str):
     angles = _parse_three_angles(texts, mode)
     if all(isinstance(a, PiRational) for a in angles):
         triple = make_triple(*angles)
-        k1, k2, n = torus.rho(triple).lattice()
-        return triple.sheet.value, triple.angles, (2 * k1, 2 * k2, n, 0)
+        return triple.sheet.value, triple.angles, torus.rho(triple).facts_args()
     return _float_triangle(*(a.radians if isinstance(a, PiRational) else a for a in angles))
 
 
@@ -184,11 +182,12 @@ def cmd_invert(args) -> Report:
 def cmd_orbit(args) -> Report:
     p = TorusPoint(parse_pi_rational(args.xi1), parse_pi_rational(args.xi2))
     orb = sorted(symmetry.orbit(p), key=TorusPoint.key)
+    c = torus.classify(p)
     report = Report()
     report.add("point", str(p))
     report.add("orbit_size", len(orb))
-    report.add("multiplicity", symmetry.multiplicity(p))
-    report.add("canonical_rep", str(symmetry.canonical_rep(p)))
+    report.add("multiplicity", c.multiplicity)
+    report.add("canonical_rep", str(c.canonical_rep))
     for i, q in enumerate(orb, start=1):
         report.add(f"element.{i}", str(q))
     return report
@@ -359,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         report = args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ParseError) else 2

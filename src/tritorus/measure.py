@@ -18,9 +18,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .symmetry import multiplicity_on
 from .torus import (DEGENERATE_LOCI, ISOSCELES_LOCI, LOCUS_EQUATIONS, REFINE_TOL, RIGHT_LOCI,
-                    TWO_PI, LocusId, doubled_angles)
+                    TWO_PI, LocusId, _facts, doubled_angles)
 from .angles import DomainError
 
 if TYPE_CHECKING:
@@ -85,13 +84,12 @@ _SIZE_TOTAL = math.sqrt(3.0) * math.pi**2
 _SIZE_OBTUSE = 3.0 * math.sqrt(3.0) / 4.0 * math.pi**2
 _SIZE_ACUTE = math.sqrt(3.0) / 4.0 * math.pi**2
 
-# Generic-member multiplicities of each family (stabilizer orders), read off the
-# loci a generic member lies on: a nondegenerate scalene on none, an isosceles
-# on one I_v, a right triangle (scalene) on one R_v, a degenerate one on one D_v.
-MULT_AREA = multiplicity_on(())
-MULT_ISOSCELES = multiplicity_on(ISOSCELES_LOCI[:1])
-MULT_RIGHT = multiplicity_on(RIGHT_LOCI[:1])
-MULT_DEGENERATE = multiplicity_on(DEGENERATE_LOCI[:1])
+# Generic-member multiplicities of each family (stabilizer orders): ``torus._facts`` at
+# the loci a generic member lies on, bit i for the i-th ``LOCUS_EQUATIONS`` row: a
+# nondegenerate scalene on none, an isosceles on I_A (bit 3), a right triangle (scalene)
+# on R_A (bit 6), a degenerate one on D_A (bit 0).
+MULT_AREA, MULT_ISOSCELES, MULT_RIGHT, MULT_DEGENERATE = (
+    _facts(bits, False)[2] for bits in (0, 1 << 3, 1 << 6, 1 << 0))
 
 
 def analytic_measures() -> MeasureReport:

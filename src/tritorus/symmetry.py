@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .torus import DEGENERATE_LOCI, ISOSCELES_LOCI, TorusPoint, point_facts
+from .torus import TorusPoint, classify
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -152,28 +152,18 @@ def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
     return tuple(g for g, q in zip(_ELEMENTS, images(k1, k2, n)) if q == (k1, k2))
 
 
-#: The six mirrors: each is the fixed line of one of the six reflections in D6.
-_MIRRORS = frozenset(DEGENERATE_LOCI + ISOSCELES_LOCI)
-
-
 def multiplicity(p: TorusPoint) -> int:
-    """Order of the stabilizer; equals 12 / orbit size."""
-    k1, k2, n = p.lattice()
-    return multiplicity_on(point_facts(2 * k1, 2 * k2, n, 0)[2])
-
-
-def multiplicity_on(loci) -> int:
-    """Stabilizer order of a point on exactly ``loci``: 2 per mirror (I_v or D_v), else 1."""
-    return max(1, 2 * len(_MIRRORS.intersection(loci)))
+    """Order of the stabilizer, as ``torus.classify`` reads it; equals 12 / orbit size."""
+    return classify(p).multiplicity
 
 
 def canonical_rep(p: TorusPoint) -> TorusPoint:
-    """Lexicographically least orbit element: a deterministic absolute-class key.
+    """Lexicographically least orbit element: a deterministic absolute-class key, as
+    ``torus.classify`` takes it.
 
     At a fixed n the order of the pairs (k1, k2) is that of ``TorusPoint.key``.
     """
-    k1, k2, n = p.lattice()
-    return TorusPoint.from_lattice(*min(images(k1, k2, n)), n)
+    return classify(p).canonical_rep
 
 
 def similar(p: TorusPoint, q: TorusPoint) -> bool:

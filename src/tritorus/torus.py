@@ -92,6 +92,11 @@ class TorusPoint(NamedTuple("TorusPoint", [("xi1", PiRational), ("xi2", PiRation
         n = math.lcm(q1 if p1 % 2 == 0 else 2 * q1, q2 if p2 % 2 == 0 else 2 * q2)
         return p1 * n // (2 * q1), p2 * n // (2 * q2), n
 
+    def facts_args(self) -> tuple[int, int, int, int]:
+        """The ``point_facts`` arguments of this lattice point: (2*k1, 2*k2, n, 0), pi being n."""
+        k1, k2, n = self.lattice()
+        return 2 * k1, 2 * k2, n, 0
+
     def key(self) -> tuple:
         """Deterministic sort key (lexicographic on canonical residues)."""
         return (self.xi1.coeff, self.xi2.coeff)
@@ -150,9 +155,11 @@ _VERTEX_SETS = tuple(
 
 
 @functools.cache
-def _facts(pattern, obtuse) -> tuple[TypeFlags, tuple[LocusId, ...]]:
-    """The one shared TypeFlags and the loci of a ``point_facts`` pattern, bit i for the i-th
-    ``LOCUS_EQUATIONS`` row; ``obtuse`` says the biggest doubled angle is over pi."""
+def _facts(pattern, obtuse) -> tuple[TypeFlags, tuple[LocusId, ...], int]:
+    """The one shared TypeFlags, the loci and the multiplicity of a ``point_facts`` pattern,
+    bit i for the i-th ``LOCUS_EQUATIONS`` row; ``obtuse`` says the biggest doubled angle is
+    over pi.  The D and I loci (bits 0-5) are the fixed lines of D6's six reflections, so the
+    stabilizer order is 2 per D or I bit, else 1."""
     zeros, apexes, right = pattern & 7, pattern >> 3 & 7, pattern >> 6 & 7
     equilateral = zeros & (zeros - 1) != 0 or apexes & (apexes - 1) != 0  # two or more bits
     iso = 7 if equilateral else apexes
@@ -162,19 +169,20 @@ def _facts(pattern, obtuse) -> tuple[TypeFlags, tuple[LocusId, ...]]:
     loci = [locus for i, locus in enumerate(LOCUS_EQUATIONS) if pattern >> i & 1]
     if pattern & 0b101000 == 0b101000:  # I_A and I_C
         loci.append(LocusId.EQUILATERAL3)
-    return flags, tuple(loci)
+    return flags, tuple(loci), max(1, 2 * (pattern & 0b111111).bit_count())
 
 
-def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
-    """Orientation sign, type flags and loci of (x, y) in [0, 2*half)^2, in units where pi is half.
+def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...], int]:
+    """Orientation sign, type flags, loci and multiplicity of (x, y) in [0, 2*half)^2, in
+    units where pi is half.
 
-    A lattice point 2*pi*(k1, k2)/n passes (2*k1, 2*k2, n, 0), all ints, and a float point
+    A lattice point passes ``TorusPoint.facts_args()``, all ints, and a float point
     (xi1, xi2, math.pi, REFINE_TOL).  Two values are equal when their ``wrap`` is within
     ``tol``.  One such test on the doubled |angles| (a, b, c) at (A, B, C) decides each locus,
-    and ``_facts`` reads the flags off the same bits: zero at v is D_v, equal angles at the
-    others I_v (apex v), pi at v R_v (right at v), b = 2a IPerp_A, a = 2b IPerp_B, b - a = pi
-    AntiRight; two zeros or apexes make it equilateral, and I_A with I_C is Equilateral3.
-    The sign is 0 when degenerate, else that of y - x.
+    and ``_facts`` reads the flags and the multiplicity off the same bits: zero at v is D_v,
+    equal angles at the others I_v (apex v), pi at v R_v (right at v), b = 2a IPerp_A, a = 2b
+    IPerp_B, b - a = pi AntiRight; two zeros or apexes make it equilateral, and I_A with I_C
+    is Equilateral3.  The sign is 0 when degenerate, else that of y - x.
     """
     def eq(u, v):
         return abs(wrap(u, v, half)) <= tol
@@ -185,8 +193,8 @@ def point_facts(x, y, half, tol) -> tuple[int, TypeFlags, tuple[LocusId, ...]]:
     pattern = (eq(a, 0) | eq(b, 0) << 1 | eq(c, 0) << 2 | eq(b, c) << 3 | eq(a, c) << 4
                | eq(a, b) << 5 | eq(a, half) << 6 | eq(b, half) << 7 | eq(c, half) << 8
                | eq(b, 2 * a) << 9 | eq(a, 2 * b) << 10 | eq(b - a, half) << 11)
-    flags, loci = _facts(pattern, max(a, b, c) > half)
-    return 0 if pattern & 7 else 1 if y > x else -1, flags, loci
+    flags, loci, multiplicity = _facts(pattern, max(a, b, c) > half)
+    return 0 if pattern & 7 else 1 if y > x else -1, flags, loci, multiplicity
 
 
 #: ``OrientationSign`` by the sign that ``point_facts`` returns.
@@ -194,8 +202,7 @@ SIGNS = (OrientationSign.ZERO, OrientationSign.POSITIVE, OrientationSign.NEGATIV
 
 
 def orientation(p: TorusPoint) -> OrientationSign:
-    k1, k2, n = p.lattice()
-    return SIGNS[point_facts(2 * k1, 2 * k2, n, 0)[0]]
+    return SIGNS[point_facts(*p.facts_args())[0]]
 
 
 def _lifts(k: int, n: int) -> tuple[int, ...]:
@@ -236,8 +243,7 @@ def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
 
 def in_locus(p: TorusPoint, locus: LocusId) -> bool:
     """Exact membership in a distinguished subgroup or coset."""
-    k1, k2, n = p.lattice()
-    return locus in point_facts(2 * k1, 2 * k2, n, 0)[2]
+    return locus in point_facts(*p.facts_args())[2]
 
 
 class Classification(NamedTuple):
@@ -261,17 +267,16 @@ class Classification(NamedTuple):
 
 def classify_point(x, y, half, tol) -> tuple:
     """The whole type report of (x, y), with the arguments of ``point_facts``: its sign,
-    flags and loci, the multiplicity read off the mirror loci, and the least of the twelve
-    ``symmetry.images``, in the same units."""
+    flags, loci and multiplicity, and the least of the twelve ``symmetry.images``, in the
+    same units."""
     from . import symmetry  # local import: symmetry acts on TorusPoint
 
-    sign, flags, loci = point_facts(x, y, half, tol)
-    return sign, flags, loci, symmetry.multiplicity_on(loci), min(symmetry.images(x, y, 2 * half))
+    return *point_facts(x, y, half, tol), min(symmetry.images(x, y, 2 * half))
 
 
 def classify(p: TorusPoint) -> Classification:
     """Full type report: ``classify_point`` at the lattice point."""
-    k1, k2, n = p.lattice()
-    sign, flags, loci, multiplicity, (r1, r2) = classify_point(2 * k1, 2 * k2, n, 0)
+    x, y, n, tol = p.facts_args()
+    sign, flags, loci, multiplicity, (r1, r2) = classify_point(x, y, n, tol)
     return Classification(p, SIGNS[sign], flags, loci, multiplicity,
                           TorusPoint(PiRational(r1, n), PiRational(r2, n)))

@@ -158,7 +158,7 @@ def test_type_flags_vertex_sets_are_shared_and_unchanged():
     apexes make the class equilateral, and equal patterns share one frozenset each."""
     seen = {}
     for apexes, right in product(range(8), repeat=2):
-        flags, _ = torus._facts(apexes << 3 | right << 6, False)
+        flags, _, _ = torus._facts(apexes << 3 | right << 6, False)
         equilateral = bin(apexes).count("1") >= 2
         iso = 7 if equilateral else apexes
         got = (flags.isosceles_vertices, flags.right_vertices)

@@ -383,6 +383,11 @@ class TestBadInput:
             ["map", "--format", "radians", "1", "1", "1.14159265"],
             ["measure", "--samples", str(10**21)],
             ["plot", "--out", "unused.svg", "--samples", str(10**21)],
+            ["classify", "1/3", "1/3"],
+            ["measure", "--samples", "x"],
+            ["classify", "--", "1/3", "1/3", "1/3", "--json"],
+            ["frob"],
+            [],
         ],
         ids=[
             "degrees-nan", "radians-inf", "degrees-minus-inf", "velocity-nan", "velocity-inf",
@@ -391,6 +396,8 @@ class TestBadInput:
             "coordinate-after-second-double-dash", "steps-beyond-float", "step-size-zero",
             "step-size-negative", "step-size-nan", "step-size-inf", "start-radians-overflow",
             "map-float-angles", "measure-samples-too-large", "plot-samples-too-large",
+            "usage-two-angles", "usage-samples-not-int", "usage-option-after-double-dash",
+            "usage-unknown-command", "usage-no-command",
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, monkeypatch, tmp_path, argv):
@@ -400,6 +407,11 @@ class TestBadInput:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "classify", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: tritorus classify")
 
     def test_plot_samples_beyond_memory(self, capsys, monkeypatch, tmp_path):
         def no_memory(seed, n):

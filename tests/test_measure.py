@@ -268,7 +268,7 @@ def test_region_masks_match_point_facts():
     got = _region_masks(xi)
     expect = {region: [] for region in Region}
     for x, y in xi.tolist():
-        sign, flags, _ = point_facts(x, y, math.pi, REFINE_TOL)
+        sign, flags, _, _ = point_facts(x, y, math.pi, REFINE_TOL)
         expect[Region.OBTUSE].append(flags.obtuse)
         expect[Region.ACUTE].append(flags.acute)
         expect[Region.POSITIVE_ORIENTATION].append(sign == 1)

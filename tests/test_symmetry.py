@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,6 @@ from tritorus.symmetry import (
     images,
     lattice_orbit,
     multiplicity,
-    multiplicity_on,
     orbit,
     orientation_preserving_subgroup,
     similar,
@@ -26,7 +26,8 @@ from tritorus.symmetry import (
     word_of,
 )
 from tritorus.torus import (
-    LOCUS_EQUATIONS, LocusId, OrientationSign, TorusPoint, classify, inverse, orientation, rho,
+    LOCUS_EQUATIONS, LocusId, OrientationSign, TorusPoint, classify, doubled_angles, inverse,
+    orientation, rho,
 )
 
 
@@ -239,8 +240,29 @@ class TestOrbitsAndMultiplicity:
         for n in range(1, 61):
             for k1 in range(n):
                 for k2 in range(n):
-                    loci = classify(TorusPoint.from_lattice(k1, k2, n)).loci
-                    assert multiplicity_on(loci) == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
+                    mult = classify(TorusPoint.from_lattice(k1, k2, n)).multiplicity
+                    assert mult == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
+
+    def test_classes_are_the_partitions_of_n(self):
+        # the absolute classes of the n-torsion points are the partitions of n into at most
+        # three parts (the halved |angles|); the partition's shape (zero parts, equal
+        # neighbours) sets the multiplicity, and the rep is read off the sorted doubled |angles|
+        by_shape = {(0, 0): 1, (0, 1): 2, (0, 2): 6, (1, 0): 2, (1, 1): 4, (2, 1): 12}
+        for n in range(1, 41):
+            partitions = {tuple(sorted((i, j, n - i - j)))
+                          for i in range(n + 1) for j in range(n + 1 - i)}
+            want = Counter(by_shape[(d.count(0), (d[0] == d[1]) + (d[1] == d[2]))]
+                           for d in partitions)
+            classes = {}
+            for k1 in range(n):
+                for k2 in range(n):
+                    c = classify(TorusPoint.from_lattice(k1, k2, n))
+                    assert classes.setdefault(c.canonical_rep, c.multiplicity) == c.multiplicity
+                    d1, _, d3 = sorted(doubled_angles(min(2 * k1, 2 * k2), max(2 * k1, 2 * k2),
+                                                      2 * n))
+                    rep = TorusPoint(PiRational(d1, n), PiRational((2 * n - d3) % (2 * n), n))
+                    assert c.canonical_rep == rep, (k1, k2, n)
+            assert Counter(classes.values()) == want, n
 
     @given(points)
     def test_orbit_stabilizer(self, p):

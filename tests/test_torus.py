@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tritorus.angles import HALF_PI, PI, ZERO, PiRational, Sheet, make_triple, taxonomy
-from tritorus.symmetry import multiplicity_on
 from tritorus.torus import (
     ANTI_LOCI,
     DEGENERATE_LOCI,
@@ -20,6 +19,7 @@ from tritorus.torus import (
     LocusId,
     OrientationSign,
     TorusPoint,
+    _facts,
     classify,
     element_order,
     identity,
@@ -254,7 +254,7 @@ class TestLattice:
         for n in range(1, 49):
             for k1 in range(n):
                 for k2 in range(n):
-                    exact = point_facts(2 * k1, 2 * k2, n, 0)
+                    exact = point_facts(*TorusPoint.from_lattice(k1, k2, n).facts_args())
                     xi = (2 * math.pi * k1 / n, 2 * math.pi * k2 / n)
                     assert point_facts(*xi, math.pi, REFINE_TOL) == exact, (k1, k2, n)
 
@@ -441,7 +441,7 @@ def test_flags_agree_with_loci_at_the_edge_of_each_locus():
         for x, y in points:
             for p in [(x, y)] + [(math.nextafter(x, to) % two_pi, math.nextafter(y, to) % two_pi)
                                  for to in (0.0, two_pi)]:
-                sign, flags, loci = point_facts(*p, math.pi, REFINE_TOL)
+                sign, flags, loci, _ = point_facts(*p, math.pi, REFINE_TOL)
                 names = {l.value for l in loci}
 
                 def at(kind):
@@ -523,7 +523,8 @@ def test_locus_families_cut_the_equations_in_order():
                                                            ("ANTI", "RIGHT"))))
     assert list(families) == by_name
     # D_v and I_v are the mirrors of D6's reflections; R_v and the anti loci are not
+    bit = {locus: 1 << i for i, locus in enumerate(LOCUS_EQUATIONS)}
     for locus in DEGENERATE_LOCI + ISOSCELES_LOCI:
-        assert multiplicity_on((locus,)) == 2
+        assert _facts(bit[locus], False)[2] == 2
     for locus in RIGHT_LOCI + ANTI_LOCI:
-        assert multiplicity_on((locus,)) == 1
+        assert _facts(bit[locus], False)[2] == 1
