@@ -104,10 +104,9 @@ def _parse_three_angles(texts: Sequence[str], mode: str) -> list[Angle]:
     return [parse_angle(t, mode) for t in texts]
 
 
-def _triangle(texts: Sequence[str], mode: str):
-    """(sheet, angles, point) of three angle arguments: an exact triple ``make_triple`` checks,
+def _triangle(angles: Sequence[Angle]):
+    """(sheet, angles, point) of three parsed angles: an exact triple ``make_triple`` checks,
     at rho's lattice point; else all three as floats, by ``_float_triangle``."""
-    angles = _parse_three_angles(texts, mode)
     if all(isinstance(a, PiRational) for a in angles):
         triple = make_triple(*angles)
         return triple.sheet.value, triple.angles, torus.rho(triple).facts_args()
@@ -151,20 +150,16 @@ def classify_float(alpha: float, beta: float, gamma: float) -> Report:
 
 
 def cmd_classify(args) -> Report:
-    return _classify_report(*_triangle(args.angles, args.format))
+    return _classify_report(*_triangle(_parse_three_angles(args.angles, args.format)))
 
 
 def cmd_map(args) -> Report:
     angles = _parse_three_angles(args.angles, args.format)
     if not all(isinstance(a, PiRational) for a in angles):
         raise ParseError("map requires exact rational angles; use classify for floats")
-    triple = make_triple(*angles)
-    p = torus.rho(triple)
-    report = Report()
-    report.add("sheet", triple.sheet.value)
-    report.add("torus.xi1", _fmt_angle(p.xi1))
-    report.add("torus.xi2", _fmt_angle(p.xi2))
-    report.add("orientation", torus.orientation(p).value)
+    report = _classify_report(*_triangle(angles))  # classify's own lines, so they cannot drift
+    report.items = [(key, value) for key, value in report.items
+                    if key in ("sheet", "torus.xi1", "torus.xi2", "orientation")]
     return report
 
 
@@ -225,9 +220,11 @@ def cmd_measure(args) -> Report:
 def cmd_path(args) -> Report:
     if len(args.start) == 3:
         # checked as classify checks it; an exact start is exact, so that on a locus it lies on it
-        x, y, half, tol = _triangle(args.start, args.format)[2]
+        x, y, half, tol = _triangle(_parse_three_angles(args.start, args.format))[2]
         start = (x, y) if tol else (PiRational(x, half).radians, PiRational(y, half).radians)
     elif len(args.start) == 2:
+        if args.format != "pi-rational":
+            raise ParseError("--format applies to three angles; two coordinates are p/q only")
         try:
             start = tuple(parse_pi_rational(c).radians for c in args.start)
         except OverflowError:

@@ -7,7 +7,8 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 from .measure import Region, region_mask
-from .torus import ANTI_LOCI, DEGENERATE_LOCI, ISOSCELES_LOCI, LOCUS_EQUATIONS, RIGHT_LOCI, TWO_PI
+from .torus import (ANTI_LOCI, DEGENERATE_LOCI, ISOSCELES_LOCI, LOCUS_EQUATIONS, RIGHT_LOCI, TWO_PI,
+                    TorusPoint, classify)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,22 +30,18 @@ def _locus_line(a: int, b: int, h: int) -> tuple[tuple[float, float], tuple[int,
     return offset, (dx, dy)
 
 
-# Torsion points of order 1, 2, 3 and 4 (identity, degenerate isosceles,
-# equilateral pair, right isosceles six).
-_TORSION_POINTS = (
-    (0.0, 0.0),
-    (2 * math.pi / 3, 4 * math.pi / 3),
-    (4 * math.pi / 3, 2 * math.pi / 3),
-    (math.pi, 0.0),
-    (0.0, math.pi),
-    (math.pi, math.pi),
-    (math.pi / 2, math.pi),
-    (3 * math.pi / 2, math.pi),
-    (math.pi, math.pi / 2),
-    (math.pi, 3 * math.pi / 2),
-    (math.pi / 2, 3 * math.pi / 2),
-    (3 * math.pi / 2, math.pi / 2),
-)
+def _marked_points() -> tuple[tuple[float, float], ...]:
+    """The points of order at most 4 that ``classify`` calls isosceles, in radians: the
+    identity, the equilateral pair, the three degenerate isosceles and the six right isosceles,
+    most symmetric first, then by apex."""
+    points = {TorusPoint.from_lattice(k1, k2, n)
+              for n in range(1, 5) for k1 in range(n) for k2 in range(n)}
+    marked = sorted((c for c in map(classify, points) if c.flags.isosceles), key=lambda c: (
+        -c.multiplicity, sorted(c.flags.isosceles_vertices), c.point.key()))
+    return tuple((c.point.xi1.radians, c.point.xi2.radians) for c in marked)
+
+
+_TORSION_POINTS = _marked_points()
 
 _SAMPLE_TEMPLATES = tuple(  # a sample's circle by 2*obtuse + acute; joined, one % fills all
     f'<circle class="sample {k}" cx="%.3f" cy="%.3f" r="1.2" style="fill:{c};fill-opacity:0.5"/>'

@@ -131,11 +131,6 @@ def images(x: float, y: float, modulus: float) -> list[tuple[float, float]]:
             for (m00, m01), (m10, m11) in _MATRICES]
 
 
-def lattice_orbit(k1: int, k2: int, n: int) -> set[tuple[int, int]]:
-    """Orbit of the torsion point 2*pi*(k1, k2)/n, as integer pairs mod n."""
-    return set(images(k1, k2, n))
-
-
 def act(g: GroupElement, p: TorusPoint) -> TorusPoint:
     """Apply the integer matrix of ``g`` to the relative arguments mod 2*pi."""
     k1, k2, n = p.lattice()
@@ -144,7 +139,7 @@ def act(g: GroupElement, p: TorusPoint) -> TorusPoint:
 
 def orbit(p: TorusPoint) -> frozenset[TorusPoint]:
     k1, k2, n = p.lattice()
-    return frozenset(TorusPoint.from_lattice(*q, n) for q in lattice_orbit(k1, k2, n))
+    return frozenset(TorusPoint.from_lattice(*q, n) for q in set(images(k1, k2, n)))
 
 
 def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:

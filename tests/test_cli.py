@@ -381,6 +381,8 @@ class TestBadInput:
             ["path", "0", "0", "--velocity", "1", "0", "--step-size", "inf"],
             ["path", "1e308", "0", "--velocity", "1", "0", "--steps", "2"],
             ["map", "--format", "radians", "1", "1", "1.14159265"],
+            ["path", "--format", "radians", "1.5", "0.5", "--velocity", "1", "0"],
+            ["path", "--format", "degrees", "--velocity", "1", "0", "--", "1/2", "1/2"],
             ["measure", "--samples", str(10**21)],
             ["plot", "--out", "unused.svg", "--samples", str(10**21)],
             ["classify", "1/3", "1/3"],
@@ -395,7 +397,8 @@ class TestBadInput:
             "measure-seed-negative", "plot-seed-negative", "start-beyond-float",
             "coordinate-after-second-double-dash", "steps-beyond-float", "step-size-zero",
             "step-size-negative", "step-size-nan", "step-size-inf", "start-radians-overflow",
-            "map-float-angles", "measure-samples-too-large", "plot-samples-too-large",
+            "map-float-angles", "path-radians-coordinates", "path-degrees-coordinates",
+            "measure-samples-too-large", "plot-samples-too-large",
             "usage-two-angles", "usage-samples-not-int", "usage-option-after-double-dash",
             "usage-unknown-command", "usage-no-command",
         ],

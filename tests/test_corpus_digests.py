@@ -28,7 +28,7 @@ DIGESTS = {
     "arith_corpus": ((), "bd200ac5ee4d8e8392e90fc1b4362e55"),
     "exact_corpus": ((6,), "74a3cc2c97101cf5b8fc08b93e515636"),
     "edge_corpus": ((100,), "0e2680651ffc9354ce989ccef1c2e06b"),
-    "refuse_corpus": ((50,), "df3a2dab86af336fa225b6145be18bb6"),
+    "refuse_corpus": ((50,), "c4cefdb06716367b5e449ad49ab0ce48"),
 }
 
 

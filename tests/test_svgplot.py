@@ -1,6 +1,7 @@
 import hashlib
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction as F
 
 from tritorus import cli
 from tritorus.measure import sample_uniform
@@ -51,23 +52,23 @@ class TestDocument:
         assert len(by_class(root, "polygon", "region-negative")) == 1
 
     def test_torsion_circles(self):
+        # the isosceles points of order at most 4, in units of pi, in drawing order: the
+        # identity, the equilateral pair, the degenerate isosceles with apex A, B, C, then
+        # the right isosceles with apex A, B, C
+        marked = [(0, 0), (F(2, 3), F(4, 3)), (F(4, 3), F(2, 3)), (1, 0), (0, 1), (1, 1),
+                  (F(1, 2), 1), (F(3, 2), 1), (1, F(1, 2)), (1, F(3, 2)),
+                  (F(1, 2), F(3, 2)), (F(3, 2), F(1, 2))]
         root = parse(render_fundamental_domain())
         circles = by_class(root, "circle", "torsion")
-        assert len(circles) == 12
-        # the equilateral pair must be among the marked points
         margin, scale = 30, (640 - 60) / TWO_PI
-        centers = {
-            (float(c.get("cx")), float(c.get("cy"))) for c in circles
-        }
 
         def xy(p):
             return (
-                round(margin + p[0] * scale, 3),
-                round(640 - margin - p[1] * scale, 3),
+                f"{margin + p[0] * math.pi * scale:.3f}",
+                f"{640 - margin - p[1] * math.pi * scale:.3f}",
             )
 
-        for p in ((0.0, 0.0), (TWO_PI / 3, 2 * TWO_PI / 3), (2 * TWO_PI / 3, TWO_PI / 3)):
-            assert xy(p) in {(round(x, 3), round(y, 3)) for x, y in centers}
+        assert [(c.get("cx"), c.get("cy")) for c in circles] == [xy(p) for p in marked]
 
 
 class TestSamples:

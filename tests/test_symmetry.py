@@ -17,7 +17,6 @@ from tritorus.symmetry import (
     canonical_rep,
     element_of_word,
     images,
-    lattice_orbit,
     multiplicity,
     orbit,
     orientation_preserving_subgroup,
@@ -241,7 +240,7 @@ class TestOrbitsAndMultiplicity:
             for k1 in range(n):
                 for k2 in range(n):
                     mult = classify(TorusPoint.from_lattice(k1, k2, n)).multiplicity
-                    assert mult == 12 // len(lattice_orbit(k1, k2, n)), (k1, k2, n)
+                    assert mult == 12 // len(set(images(k1, k2, n))), (k1, k2, n)
 
     def test_classes_are_the_partitions_of_n(self):
         # the absolute classes of the n-torsion points are the partitions of n into at most
@@ -372,11 +371,6 @@ class TestImages:
     def test_float_images_in_element_order(self, x, y):
         two_pi = 2 * math.pi
         assert images(x, y, two_pi) == [by_hand(g, x, y, two_pi) for g in all_elements()]
-
-    @given(mixed_points)
-    def test_lattice_orbit_is_the_set_of_images(self, p):
-        k1, k2, n = p.lattice()
-        assert lattice_orbit(k1, k2, n) == set(images(k1, k2, n))
 
     @given(mixed_points)
     def test_stabilizer_is_the_elements_whose_image_is_the_point(self, p):
