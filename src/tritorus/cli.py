@@ -291,70 +291,68 @@ def cmd_plot(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tritorus", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, angles=False):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if angles:
-            p.add_argument(
-                "--format",
-                choices=("pi-rational", "degrees", "radians"),
-                default="pi-rational",
-                help="angle input format (pi-rational 'p/q' means (p/q)*pi)",
-            )
-
-    p = sub.add_parser("classify", help="full type report for three interior angles")
+def _angles(p):
     p.add_argument("angles", nargs=3)
-    add_common(p, angles=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("map", help="torus image of three interior angles")
-    p.add_argument("angles", nargs=3)
-    add_common(p, angles=True)
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("invert", help="triangle preimages of a torus point")
+def _point(p):
     p.add_argument("xi1")
     p.add_argument("xi2")
-    add_common(p)
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("orbit", help="symmetry orbit of a torus point")
-    p.add_argument("xi1")
-    p.add_argument("xi2")
-    add_common(p)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("measure", help="analytic measures and optional Monte Carlo")
+def _sampling(p):
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("path", help="trace a straight path and report locus crossings")
+
+def _path(p):
     p.add_argument("start", nargs="+", help="two torus coordinates (p/q of pi) or three angles")
     p.add_argument("--velocity", type=float, nargs=2, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--step-size", type=float, default=0.05)
-    add_common(p, angles=True)
-    p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("plot", help="SVG of the fundamental domain")
+
+def _plot(p):
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _sampling(p)
     p.add_argument("--anti", action="store_true", help="include anti-isosceles/anti-right loci")
-    add_common(p)
-    p.set_defaults(func=cmd_plot)
 
+
+# subcommand: (help line, handler, argument adder, takes --format)
+_COMMANDS = {
+    "classify": ("full type report for three interior angles", cmd_classify, _angles, True),
+    "map": ("torus image of three interior angles", cmd_map, _angles, True),
+    "invert": ("triangle preimages of a torus point", cmd_invert, _point, False),
+    "orbit": ("symmetry orbit of a torus point", cmd_orbit, _point, False),
+    "measure": ("analytic measures and optional Monte Carlo", cmd_measure, _sampling, False),
+    "path": ("trace a straight path and report locus crossings", cmd_path, _path, True),
+    "plot": ("SVG of the fundamental domain", cmd_plot, _plot, False),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The tritorus parser.  Given argv's first word, it holds only that subcommand's parser
+    when the word names one; any other word, or none, builds all seven, so that help, usage
+    errors and "invalid choice" read as from the whole parser."""
+    parser = _Parser(prog="tritorus", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_line, handler, add_arguments, takes_format = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if takes_format:
+            p.add_argument("--format", choices=("pi-rational", "degrees", "radians"),
+                           default="pi-rational",
+                           help="angle input format (pi-rational 'p/q' means (p/q)*pi)")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         report = args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Optional
@@ -30,6 +31,7 @@ def _locus_line(a: int, b: int, h: int) -> tuple[tuple[float, float], tuple[int,
     return offset, (dx, dy)
 
 
+@functools.cache
 def _marked_points() -> tuple[tuple[float, float], ...]:
     """The points of order at most 4 that ``classify`` calls isosceles, in radians: the
     identity, the equilateral pair, the three degenerate isosceles and the six right isosceles,
@@ -40,8 +42,6 @@ def _marked_points() -> tuple[tuple[float, float], ...]:
         -c.multiplicity, sorted(c.flags.isosceles_vertices), c.point.key()))
     return tuple((c.point.xi1.radians, c.point.xi2.radians) for c in marked)
 
-
-_TORSION_POINTS = _marked_points()
 
 _SAMPLE_TEMPLATES = tuple(  # a sample's circle by 2*obtuse + acute; joined, one % fills all
     f'<circle class="sample {k}" cx="%.3f" cy="%.3f" r="1.2" style="fill:{c};fill-opacity:0.5"/>'
@@ -135,7 +135,7 @@ def render_fundamental_domain(
         f'height="{side:.3f}" style="fill:none;stroke:#000000;stroke-width:2"/>'
     )
 
-    for p in _TORSION_POINTS:
+    for p in _marked_points():
         px, py = _xy(p)
         body.append(
             f'<circle class="torsion" cx="{px:.3f}" cy="{py:.3f}" r="4" '

@@ -19,6 +19,9 @@ from tritorus import cli, torus
 from tritorus.angles import PiRational, make_triple
 
 
+COMMANDS = ("classify", "map", "invert", "orbit", "measure", "path", "plot")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -411,10 +414,18 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
-    def test_help_exits_0(self, capsys):
-        code, out, err = run(capsys, "classify", "--help")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
         assert (code, err) == (0, "")
-        assert out.startswith("usage: tritorus classify")
+        assert out.startswith(f"usage: tritorus {command}")
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: tritorus")
+        assert "{" + ",".join(COMMANDS) + "}" in out
 
     def test_plot_samples_beyond_memory(self, capsys, monkeypatch, tmp_path):
         def no_memory(seed, n):
@@ -716,6 +727,36 @@ def test_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _parse(parser, argv):
+    """What parsing ``argv`` shows: the namespace, the usage error, or the exit and its help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except cli.ParseError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+_HELP = st.sampled_from(["-h", "--help"])
+_NO_COMMAND = st.lists(_JUNK | _HELP | _FRACTION.map(str), max_size=4)
+# a command's argv with a help flag after its first word, which the fuzz draws too rarely
+_COMMAND_HELP = st.tuples(cli_argv(), _HELP, st.integers(1, 8)).map(
+    lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv() | _NO_COMMAND | _COMMAND_HELP)
+def test_one_command_parser_parses_as_the_whole_parser(argv):
+    first = argv[0] if argv else None
+    assert _parse(cli.build_parser(first), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_a_command_builds_only_its_own_parser():
+    assert cli.build_parser("classify").format_usage() == "usage: tritorus [-h] {classify} ...\n"
 
 
 def test_exact_commands_do_not_import_numpy():
