@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .torus import TorusPoint, classify
+from .torus import TorusPoint, classify, point_facts
 
 Perm = tuple[int, int, int]  # images of (1, 2, 3)
 
@@ -133,23 +133,20 @@ def images(x: float, y: float, modulus: float) -> list[tuple[float, float]]:
 
 def act(g: GroupElement, p: TorusPoint) -> TorusPoint:
     """Apply the integer matrix of ``g`` to the relative arguments mod 2*pi."""
-    k1, k2, n = p.lattice()
-    return TorusPoint.from_lattice(*images(k1, k2, n)[_ELEMENTS.index(g)], n)
+    return TorusPoint.from_lattice(*images(*p)[_ELEMENTS.index(g)], p.n)
 
 
 def orbit(p: TorusPoint) -> frozenset[TorusPoint]:
-    k1, k2, n = p.lattice()
-    return frozenset(TorusPoint.from_lattice(*q, n) for q in set(images(k1, k2, n)))
+    return frozenset(TorusPoint.from_lattice(*q, p.n) for q in set(images(*p)))
 
 
 def stabilizer(p: TorusPoint) -> tuple[GroupElement, ...]:
-    k1, k2, n = p.lattice()
-    return tuple(g for g, q in zip(_ELEMENTS, images(k1, k2, n)) if q == (k1, k2))
+    return tuple(g for g, q in zip(_ELEMENTS, images(*p)) if q == (p.k1, p.k2))
 
 
 def multiplicity(p: TorusPoint) -> int:
-    """Order of the stabilizer, as ``torus.classify`` reads it; equals 12 / orbit size."""
-    return classify(p).multiplicity
+    """Order of the stabilizer, by the ``point_facts`` rule of ``torus.classify``; 12 / orbit size."""
+    return point_facts(*p.facts_args())[3]
 
 
 def canonical_rep(p: TorusPoint) -> TorusPoint:

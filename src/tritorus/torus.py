@@ -9,6 +9,7 @@ degenerate borders together.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from enum import Enum
@@ -68,33 +69,35 @@ TWO_PI = 2.0 * math.pi
 REFINE_TOL = 1e-9
 
 
-class TorusPoint(NamedTuple("TorusPoint", [("xi1", PiRational), ("xi2", PiRational)])):
-    """A point of the torus, coordinates canonically reduced mod 2*pi."""
+class TorusPoint(collections.namedtuple("TorusPoint", "k1 k2 n")):
+    """The torsion point 2*pi*(k1, k2)/n of the torus, n its element order and 0 <= k < n."""
 
     __slots__ = ()
 
     def __new__(cls, xi1: PiRational, xi2: PiRational):
-        return super().__new__(cls, xi1.mod_two_pi(), xi2.mod_two_pi())
-
-    def is_degenerate(self) -> bool:
-        return self.xi1.is_zero() or self.xi2.is_zero() or self.xi1 == self.xi2
+        # xi/(2*pi) = p/(2q): both over lcm(2*q1, 2*q2), which from_lattice reduces.
+        n = math.lcm(2 * xi1.denominator, 2 * xi2.denominator)
+        return cls.from_lattice(xi1.numerator * n // (2 * xi1.denominator),
+                                xi2.numerator * n // (2 * xi2.denominator), n)
 
     @classmethod
     def from_lattice(cls, k1: int, k2: int, n: int) -> "TorusPoint":
-        """The torsion point (2*pi*k1/n, 2*pi*k2/n)."""
-        return cls(PiRational(2 * k1, n), PiRational(2 * k2, n))
+        """The torsion point (2*pi*k1/n, 2*pi*k2/n), any ints with n != 0."""
+        g = math.gcd(k1, k2, n) if n > 0 else -math.gcd(k1, k2, n)
+        n //= g
+        return tuple.__new__(cls, (k1 // g % n, k2 // g % n, n))
 
-    def lattice(self) -> tuple[int, int, int]:
-        """(k1, k2, n) with xi = 2*pi*k/n, n the element order and 0 <= k < n."""
-        p1, q1 = self.xi1.numerator, self.xi1.denominator
-        p2, q2 = self.xi2.numerator, self.xi2.denominator
-        # xi/(2*pi) = p/(2q) in lowest terms has denominator q for even p, 2q for odd p.
-        n = math.lcm(q1 if p1 % 2 == 0 else 2 * q1, q2 if p2 % 2 == 0 else 2 * q2)
-        return p1 * n // (2 * q1), p2 * n // (2 * q2), n
+    #: Read-only ``PiRational`` views of the coordinates, for printing, ``key`` and ``mul``.
+    xi1 = property(lambda self: PiRational(2 * self.k1, self.n))
+    xi2 = property(lambda self: PiRational(2 * self.k2, self.n))
+    __getnewargs__ = lambda self: (self.xi1, self.xi2)  # the __new__ arguments of copy and pickle
+
+    def is_degenerate(self) -> bool:
+        return point_facts(*self.facts_args())[1].degenerate
 
     def facts_args(self) -> tuple[int, int, int, int]:
         """The ``point_facts`` arguments of this lattice point: (2*k1, 2*k2, n, 0), pi being n."""
-        k1, k2, n = self.lattice()
+        k1, k2, n = self
         return 2 * k1, 2 * k2, n, 0
 
     def key(self) -> tuple:
@@ -114,16 +117,16 @@ def mul(p: TorusPoint, q: TorusPoint) -> TorusPoint:
 
 
 def inverse(p: TorusPoint) -> TorusPoint:
-    return TorusPoint(-p.xi1, -p.xi2)
+    return TorusPoint.from_lattice(-p.k1, -p.k2, p.n)
 
 
 def power(p: TorusPoint, n: int) -> TorusPoint:
-    return TorusPoint(p.xi1 * n, p.xi2 * n)
+    return TorusPoint.from_lattice(p.k1 * n, p.k2 * n, p.n)
 
 
 def element_order(p: TorusPoint) -> int:
     """Least n >= 1 with n*p = identity."""
-    return p.lattice()[2]
+    return p.n
 
 
 def project_relative(theta1: PiRational, theta2: PiRational, theta3: PiRational) -> TorusPoint:
@@ -231,13 +234,13 @@ def _fiber(k1: int, k2: int, n: int) -> list[tuple[int, int, int]]:
 
 def rho_preimages(p: TorusPoint) -> tuple[AngleTriple, ...]:
     """All triangles mapping to ``p``, in the order of ``_fiber``."""
-    k1, k2, n = p.lattice()
+    n = p.n
     return tuple(
         AngleTriple(
             PiRational(ma, n), PiRational(mb, n), PiRational(mc, n),
             Sheet.PLUS if ma + mb + mc > 0 else Sheet.MINUS,
         )
-        for ma, mb, mc in _fiber(k1, k2, n)
+        for ma, mb, mc in _fiber(*p)
     )
 
 
@@ -279,4 +282,4 @@ def classify(p: TorusPoint) -> Classification:
     x, y, n, tol = p.facts_args()
     sign, flags, loci, multiplicity, (r1, r2) = classify_point(x, y, n, tol)
     return Classification(p, SIGNS[sign], flags, loci, multiplicity,
-                          TorusPoint(PiRational(r1, n), PiRational(r2, n)))
+                          TorusPoint.from_lattice(r1 // 2, r2 // 2, n))

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from tritorus.angles import PiRational, make_triple
+from tritorus.angles import VERTICES, PiRational, make_triple
 from tritorus.symmetry import (
     IDENTITY,
     REFLECTION,
@@ -206,6 +206,29 @@ class TestAction:
         for g in all_elements():
             assert {act(g, q) for q in orb} == orb
 
+    def test_labelled_flags_and_orientation_are_equivariant(self):
+        # act(g, p) is p relabelled, its vertex i being p's vertex g.perm[i]; the elements
+        # outside the orientation-preserving subgroup swap the sign and keep zero.  Every
+        # point of order <= 24 against all 12 elements.
+        swap = {OrientationSign.POSITIVE: OrientationSign.NEGATIVE,
+                OrientationSign.NEGATIVE: OrientationSign.POSITIVE,
+                OrientationSign.ZERO: OrientationSign.ZERO}
+        keep = set(orientation_preserving_subgroup())
+
+        def relabel(g, old):
+            return {v for v, j in zip(VERTICES, g.perm) if VERTICES[j - 1] in old}
+
+        grid = {TorusPoint.from_lattice(k1, k2, n)
+                for n in range(1, 25) for k1 in range(n) for k2 in range(n)}
+        assert len(grid) == 4032
+        for p in grid:
+            c = classify(p)
+            for g in all_elements():
+                d = classify(act(g, p))
+                assert d.flags.isosceles_vertices == relabel(g, c.flags.isosceles_vertices), (p, g)
+                assert d.flags.right_vertices == relabel(g, c.flags.right_vertices), (p, g)
+                assert d.orientation is (c.orientation if g in keep else swap[c.orientation])
+
 
 class TestOrbitsAndMultiplicity:
     def test_identity_fixed(self):
@@ -374,7 +397,7 @@ class TestImages:
 
     @given(mixed_points)
     def test_stabilizer_is_the_elements_whose_image_is_the_point(self, p):
-        k1, k2, n = p.lattice()
+        k1, k2, n = p
         fixing = tuple(g for g in all_elements() if by_hand(g, k1, k2, n) == (k1, k2))
         assert stabilizer(p) == fixing
         assert all(act(g, p) == p for g in fixing)

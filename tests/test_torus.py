@@ -224,17 +224,25 @@ class TestElementOrder:
 
 
 class TestLattice:
-    @given(mixed_points)
-    def test_lattice_reconstructs_point(self, p):
-        k1, k2, n = p.lattice()
+    @given(mixed_points, st.integers(-5, 5), st.integers(-5, 5),
+           st.integers(-6, 6).filter(bool))
+    def test_lattice_reconstructs_point(self, p, a, b, m):
+        k1, k2, n = p
         assert 0 <= k1 < n and 0 <= k2 < n
         assert (Fraction(2 * k1, n), Fraction(2 * k2, n)) == p.key()
         assert TorusPoint.from_lattice(k1, k2, n) == p
+        # unreduced triples, negative entries included, name the same point
+        assert TorusPoint.from_lattice(k1 + a * n, k2 + b * n, n) == p
+        assert TorusPoint.from_lattice(m * k1, m * k2, m * n) == p
+        q = TorusPoint(p.xi1, p.xi2)
+        assert q == p and hash(q) == hash(p)
+        assert p.n == element_order(p)
 
     @given(mixed_points)
     def test_element_order_is_lattice_level(self, p):
         c1, c2 = p.key()
-        assert element_order(p) == p.lattice()[2]
+        _, _, n = p
+        assert element_order(p) == n
         assert element_order(p) == lcm((c1 / 2).denominator, (c2 / 2).denominator)
 
     @given(st.one_of(mixed_points, locus_points()))
